@@ -113,8 +113,13 @@ def _write_bode_csv(path: Path, points):
 
 
 def _read_pump_sweep_csv(path: Path) -> list[PumpSweepPoint]:
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"{path}: cannot read pump-sweep data: {reason}") from exc
     points = []
-    for i, line in enumerate(path.read_text().splitlines()):
+    for i, line in enumerate(text.splitlines()):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -122,14 +127,14 @@ def _read_pump_sweep_csv(path: Path) -> list[PumpSweepPoint]:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise ToolError(f"{path}:{i + 1}: expected pump_w,squeezing_db,antisqueezing_db")
-        points.append(
-            PumpSweepPoint(
-                pump_power_w=float(parts[0]),
-                squeezing_db=float(parts[1]),
-                anti_squeezing_db=float(parts[2]),
-            )
-        )
+            raise DomainError(f"{path}:{i + 1}: expected pump_w,squeezing_db,antisqueezing_db")
+        try:
+            values = [float(p) for p in parts]
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError("values must be finite numbers")
+            points.append(PumpSweepPoint(*values))
+        except ValueError as exc:
+            raise DomainError(f"{path}:{i + 1}: {exc}") from exc
     return points
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NonConvergenceError, UnboundedOptimumError
 from . import noise as nz
@@ -298,21 +297,15 @@ def grid_search_optimal_pump(
     step: float = 1e-4,
 ) -> float:
     """Brute-force oracle for the optimal pump power: coarse 0.1-mW grid
-    over (0, p_max], refined by bounded scalar minimization."""
+    over (0, p_max], refined on a fine grid over the two cells around the
+    coarse minimum to step * 5e-4.  The squeezed variance is searched in
+    linear units, which share their argmin with the dB levels."""
     if theta_rad <= 0:
         raise UnboundedOptimumError("grid search needs theta > 0")
     grid = np.arange(step, p_max + step / 2, step)
-    sq_db, _ = model_levels_db(grid, eta, alpha, theta_rad)
-    i = int(np.argmin(sq_db))
-    lo = grid[max(i - 2, 0)]
-    hi = grid[min(i + 2, grid.size - 1)]
-    res = minimize_scalar(
-        lambda p: model_levels_db(np.array([p]), eta, alpha, theta_rad)[0][0],
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": step * 1e-3},
-    )
-    return float(res.x)
+    i = int(np.argmin(_mixed_pair(grid, eta, alpha, theta_rad)[0]))
+    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)
+    return float(fine[np.argmin(_mixed_pair(fine, eta, alpha, theta_rad)[0])])
 
 
 def source_squeezing_estimate(

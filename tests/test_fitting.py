@@ -114,6 +114,13 @@ class TestOptimalPumpPower:
         closed = ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, TRUE_THETA).pump_power_w
         assert abs(grid_p - closed) < 1e-4
 
+    def test_grid_oracle_wide_range(self):
+        for theta_deg in (0.2, 0.8, 2.0):
+            theta = math.radians(theta_deg)
+            closed = ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, theta).pump_power_w
+            grid_p = ft.grid_search_optimal_pump(TRUE_ETA, TRUE_ALPHA, theta, p_max=5.0)
+            assert abs(grid_p - closed) < 1e-6
+
     def test_optimum_is_global_on_grid(self):
         closed = ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, TRUE_THETA).pump_power_w
         grid = np.arange(1e-4, 2.0, 1e-4)

@@ -7,6 +7,7 @@ from opasim import loop as lp
 from opasim.errors import (
     DomainError,
     InstabilityError,
+    IntegrationError,
     NoFeasibleCandidateError,
 )
 from opasim.noise import PhaseJitter
@@ -140,6 +141,12 @@ class TestShiftSelection:
         with pytest.raises(NoFeasibleCandidateError):
             lp.select_shift_frequency(lp.default_lock_loops(), [])
 
+    def test_nonpositive_candidate_rejected_up_front(self):
+        loops = lp.default_lock_loops()
+        for cands in ([-1.0, 1e6], [0.0, 0.5e6, 1e6], [1e6, float("nan")]):
+            with pytest.raises(DomainError):
+                lp.select_shift_frequency(loops, cands)
+
     def test_relaxing_margins_is_monotone(self):
         loops = lp.default_lock_loops()
         cands = [0.25e6, 0.5e6, 1e6, 2e6, 4e6]
@@ -184,12 +191,41 @@ class ZeroLoop:
         return np.zeros_like(np.asarray(f, dtype=float), dtype=complex)
 
 
+class NanLoop:
+    """A loop whose response is undefined everywhere."""
+
+    def response(self, f):
+        return np.full(np.shape(f), np.nan, dtype=complex)
+
+
+def dense_jitter(noise, loop, points_per_decade=100_000):
+    """Reference rms phase: uniform composite Simpson in ln f at 500 times
+    the library's density, with no panel edges at table knots."""
+    n = 2 * math.ceil(points_per_decade * math.log10(noise.f_max / noise.f_min) / 2)
+    u = np.linspace(math.log(noise.f_min), math.log(noise.f_max), n + 1)
+    f = np.exp(u)
+    y = noise.density(f) * f / np.abs(1.0 + loop.response(f)) ** 2
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return math.sqrt((u[1] - u[0]) / 3.0 * float(w @ y))
+
+
+def open_loop_jitter(noise):
+    """Free-running rms phase (radians) with no suppression."""
+    return dense_jitter(noise, ZeroLoop())
+
+
+TABLE_KNOTS_HZ = (1.0, 1e2, 1e4, 1e6)
+TABLE_DENSITIES = (1.7357e-4, 3.7895e-9, 5.2944e-12, 3.8415e-13)
+
+
 class TestResidualJitter:
     def test_open_loop_equals_free_running_rms(self):
         spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-4, f_min=1.0, f_max=10.0)
         out = lp.residual_jitter(spec, ZeroLoop())
         assert out.theta == pytest.approx(math.sqrt(1e-4 * 9.0), rel=1e-6)
-        assert out.theta == pytest.approx(lp.open_loop_jitter(spec), rel=1e-6)
+        assert out.theta == pytest.approx(open_loop_jitter(spec), rel=1e-6)
 
     def test_gain_increase_reduces_jitter(self):
         spec = lp.PhaseNoiseSpectrum(kind="one_over_f2", amplitude=1e-3, f_min=1.0, f_max=1e5)
@@ -212,6 +248,56 @@ class TestResidualJitter:
         template = lp.PhaseNoiseSpectrum(kind="one_over_f2", amplitude=1.0, f_min=1.0, f_max=1e6)
         spec = lp.calibrate_jitter_amplitude(loop, target, template)
         assert lp.residual_jitter(spec, loop).degrees == pytest.approx(0.8, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ["white", "table"])
+    def test_calibration_hits_target_for_white_and_table_templates(self, kind):
+        loop = lp.default_lock_loops()[0]
+        target = PhaseJitter.from_degrees(1.0)
+        template = lp.PhaseNoiseSpectrum(
+            kind=kind, f_min=1.0, f_max=1e6,
+            frequencies_hz=TABLE_KNOTS_HZ if kind == "table" else (),
+            densities=TABLE_DENSITIES if kind == "table" else (),
+        )
+        spec = lp.calibrate_jitter_amplitude(loop, target, template)
+        assert lp.residual_jitter(spec, loop).degrees == pytest.approx(1.0, rel=1e-6)
+
+    def test_table_amplitude_scales_density(self):
+        base = lp.PhaseNoiseSpectrum(
+            kind="table", f_min=1.0, f_max=1e6,
+            frequencies_hz=TABLE_KNOTS_HZ, densities=TABLE_DENSITIES,
+        )
+        scaled = lp.PhaseNoiseSpectrum(
+            kind="table", amplitude=7.0, f_min=1.0, f_max=1e6,
+            frequencies_hz=TABLE_KNOTS_HZ, densities=TABLE_DENSITIES,
+        )
+        f = np.logspace(0, 6, 13)
+        np.testing.assert_allclose(scaled.density(f), 7.0 * base.density(f), rtol=1e-12)
+
+    def test_table_with_interior_knots_matches_dense_reference(self):
+        # a steep table whose knots kink the integrand; adaptive quadrature
+        # across the kinks once missed this case by 4.7e-4
+        spec = lp.PhaseNoiseSpectrum(
+            kind="table", f_min=1.0, f_max=1e6,
+            frequencies_hz=TABLE_KNOTS_HZ, densities=TABLE_DENSITIES,
+        )
+        loop = lp.default_lock_loops(5.4e6)[0]
+        out = lp.residual_jitter(spec, loop).theta
+        assert out == pytest.approx(dense_jitter(spec, loop), rel=1e-7)
+
+    def test_open_loop_table_band_inside_knots(self):
+        # f_min and f_max fall between knots, so the band ends on kinks and
+        # holds the last density constant beyond the table
+        spec = lp.PhaseNoiseSpectrum(
+            kind="table", f_min=3.0, f_max=2e6,
+            frequencies_hz=TABLE_KNOTS_HZ, densities=TABLE_DENSITIES,
+        )
+        out = lp.residual_jitter(spec, ZeroLoop()).theta
+        assert out == pytest.approx(open_loop_jitter(spec), rel=1e-7)
+
+    def test_nan_loop_response_is_integration_error(self):
+        spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-6, f_min=1.0, f_max=1e4)
+        with pytest.raises(IntegrationError):
+            lp.residual_jitter(spec, NanLoop())
 
     def test_unstable_loop_rejected(self):
         spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-6, f_min=1.0, f_max=1e4)

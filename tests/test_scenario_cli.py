@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +160,26 @@ class TestCli:
     def test_fit_without_data_is_validation_error(self, tmp_path):
         assert run_cli("fit", self.SCN, "--out-dir", str(tmp_path), "--quiet") == 2
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["0.5,-6.1,abc", "0.5,-6.1", "0.5,nan,12.0"],
+        ids=["non_numeric", "two_columns", "non_finite"],
+    )
+    def test_fit_bad_data_row_names_file_and_line(self, tmp_path, capsys, bad_row):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text(f"pump_w,squeezing_db,antisqueezing_db\n0.2,-3.0,5.0\n{bad_row}\n")
+        assert run_cli(
+            "fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet"
+        ) == 2
+        assert f"{csv}:3" in capsys.readouterr().err
+
+    def test_fit_missing_data_file_is_validation_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert run_cli(
+            "fit", self.SCN, "--data", str(missing), "--out-dir", str(tmp_path), "--quiet"
+        ) == 2
+        assert str(missing) in capsys.readouterr().err
+
     def test_optimize_report(self, tmp_path):
         assert run_cli("optimize", self.SCN, "--out-dir", str(tmp_path), "--quiet") == 0
         report = json.loads((tmp_path / "optimize_report.json").read_text())
@@ -187,3 +210,13 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "key,value"
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    code = "import opasim, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
