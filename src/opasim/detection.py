@@ -3,8 +3,10 @@ electrical spectrum analyzer (zero-span traces and frequency sweeps).
 
 Displayed analyzer points follow standard noise statistics: each
 RBW-filtered power sample is exponential (chi-squared, 2 DOF) and the video
-filter averages K = RBW/VBW samples per point.  Traces are deterministic
-for a fixed seed.
+filter averages K = RBW/VBW samples per point.  That average is exactly
+Gamma(K, 1/K) times the point's mean power, so each point is drawn as one
+gamma variate and a trace costs O(points) whatever K is.  Traces are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -144,8 +146,11 @@ class AnalyzerSettings:
     seed: int
 
     def __post_init__(self):
+        for name in ("center_frequency_hz", "span_hz", "rbw_hz", "vbw_hz", "sweep_time_s"):
+            nz._check_finite(name, getattr(self, name))
         if not self.vbw_hz > 0:
             raise DomainError("vbw must be > 0")
+        nz._check_finite("rbw/vbw", self.rbw_hz / self.vbw_hz)
         if self.rbw_hz < self.vbw_hz:
             raise DomainError("rbw must be >= vbw")
         if self.points < 2:
@@ -228,9 +233,31 @@ def measured_noise_ratio(s: Scenario, f: float) -> tuple[float, float]:
     return q.sq + n_circ, q.anti + n_circ
 
 
-def _video_averaged_db(rng: np.random.Generator, means: np.ndarray, k: int) -> np.ndarray:
-    draws = rng.exponential(size=(means.size, k)) * means[:, None]
-    return 10.0 * np.log10(draws.mean(axis=1))
+def _zero_span_trace(s: Scenario, sq: float, anti: float | None, seed: int, label: str) -> Trace:
+    """Zero-span trace whose points have mean power ``sq`` (relative to shot
+    noise) plus circuit noise, or, when ``anti`` is given, swing between
+    ``anti`` and ``sq`` as the LO phase scans.  Each point is one
+    Gamma(K, 1/K) draw times its mean: the video average of K exponential
+    samples, drawn exactly."""
+    a = s.analyzer
+    t = np.linspace(0.0, a.sweep_time_s, a.points)
+    n_circ = float(s.detector.circuit_ratio(a.center_frequency_hz))
+    if anti is None:
+        means = np.full(a.points, sq + n_circ)
+    else:
+        theta = 2.0 * math.pi * s.scan_rate_hz * t
+        c2 = np.cos(theta) ** 2
+        means = sq * c2 + anti * (1.0 - c2) + n_circ
+    k = a.video_averages
+    draws = np.random.default_rng(seed).gamma(k, 1.0 / k, size=a.points)
+    return Trace(
+        axis=t,
+        values_dbm=s.detector.shot_noise_dbm + 10.0 * np.log10(draws * means),
+        axis_kind="time",
+        scenario_digest=s.digest(),
+        seed=seed,
+        label=label,
+    )
 
 
 def simulate_zero_span(s: Scenario) -> Trace:
@@ -240,47 +267,17 @@ def simulate_zero_span(s: Scenario) -> Trace:
     phase linearly so the displayed level swings between the jittered
     anti-squeezed and squeezed envelopes.
     """
-    a = s.analyzer
-    if a.span_hz != 0:
+    if s.analyzer.span_hz != 0:
         raise DomainError("zero-span simulation requires span = 0")
-    t = np.linspace(0.0, a.sweep_time_s, a.points)
-    n_circ = float(s.detector.circuit_ratio(a.center_frequency_hz))
     q = _optical_pair(s)
-    if s.lock_mode == "locked":
-        means = np.full(a.points, q.sq + n_circ)
-    else:
-        theta = 2.0 * math.pi * s.scan_rate_hz * t
-        c2 = np.cos(theta) ** 2
-        means = q.sq * c2 + q.anti * (1.0 - c2) + n_circ
-    rng = np.random.default_rng(a.seed)
-    values = s.detector.shot_noise_dbm + _video_averaged_db(rng, means, a.video_averages)
-    return Trace(
-        axis=t,
-        values_dbm=values,
-        axis_kind="time",
-        scenario_digest=s.digest(),
-        seed=a.seed,
-        label=s.lock_mode,
-    )
+    anti = q.anti if s.lock_mode == "scanned" else None
+    return _zero_span_trace(s, q.sq, anti, s.analyzer.seed, s.lock_mode)
 
 
 def simulate_shot_reference(s: Scenario) -> Trace:
     """Zero-span trace with the pump blocked (shot noise + circuit noise),
     drawn with an offset seed so it is independent of the signal trace."""
-    a = s.analyzer
-    n_circ = float(s.detector.circuit_ratio(a.center_frequency_hz))
-    t = np.linspace(0.0, a.sweep_time_s, a.points)
-    means = np.full(a.points, 1.0 + n_circ)
-    rng = np.random.default_rng(a.seed + 1)
-    values = s.detector.shot_noise_dbm + _video_averaged_db(rng, means, a.video_averages)
-    return Trace(
-        axis=t,
-        values_dbm=values,
-        axis_kind="time",
-        scenario_digest=s.digest(),
-        seed=a.seed + 1,
-        label="shot",
-    )
+    return _zero_span_trace(s, 1.0, None, s.analyzer.seed + 1, "shot")
 
 
 @dataclass(frozen=True)

@@ -367,8 +367,13 @@ class PhaseNoiseSpectrum:
         if self.kind == "table":
             if len(self.frequencies_hz) != len(self.densities) or len(self.densities) < 2:
                 raise DomainError("table spectrum needs >= 2 matched points")
-            if any(d < 0 for d in self.densities):
-                raise DomainError("densities must be >= 0")
+            fs = self.frequencies_hz
+            # np.interp in density() needs strictly increasing knots
+            if not (all(math.isfinite(x) for x in fs) and fs[0] > 0
+                    and all(a < b for a, b in zip(fs, fs[1:]))):
+                raise DomainError("table frequencies must be finite, > 0 and strictly ascending")
+            if not all(math.isfinite(d) and d >= 0 for d in self.densities):
+                raise DomainError("densities must be finite and >= 0")
 
     def density(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,20 @@ def with_analyzer(scenario, **kwargs):
     return dataclasses.replace(
         scenario, analyzer=dataclasses.replace(scenario.analyzer, **kwargs)
     )
+
+
+class TestAnalyzerSettings:
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "field", ["center_frequency_hz", "span_hz", "rbw_hz", "vbw_hz", "sweep_time_s"]
+    )
+    def test_non_finite_field_rejected(self, locked_bundle, field, value):
+        with pytest.raises(DomainError, match=field):
+            dataclasses.replace(locked_bundle.scenario.analyzer, **{field: value})
+
+    def test_overflowing_video_averages_rejected(self, locked_bundle):
+        with pytest.raises(DomainError, match="rbw/vbw"):
+            dataclasses.replace(locked_bundle.scenario.analyzer, rbw_hz=1e300, vbw_hz=1e-300)
 
 
 class TestDetectorModel:
@@ -98,6 +113,18 @@ class TestZeroSpan:
         # dB of one exponential power draw has std ~5.57 dB
         assert float(np.std(trace.values_dbm)) == pytest.approx(5.57, abs=0.3)
 
+    @pytest.mark.parametrize("k", [3, 50])
+    def test_video_averaged_distribution(self, locked_bundle, k):
+        # each point is the mean of k Exp(1) draws times its mean power:
+        # normalised, mean 1 and variance 1/k
+        s = with_analyzer(locked_bundle.scenario, vbw_hz=1e6 / k, points=100_000)
+        assert s.analyzer.video_averages == k
+        trace = det.simulate_zero_span(s)
+        locked, _ = det.measured_noise_ratio(s, s.analyzer.center_frequency_hz)
+        x = 10 ** ((trace.values_dbm - s.detector.shot_noise_dbm) / 10) / locked
+        assert abs(float(x.mean()) - 1.0) <= 6 * math.sqrt(1.0 / k / x.size)
+        assert float(x.var()) == pytest.approx(1.0 / k, rel=0.05)
+
     def test_scanned_envelope(self, scanned_bundle):
         s = scanned_bundle.scenario
         trace = det.simulate_zero_span(s)
@@ -117,6 +144,26 @@ class TestZeroSpan:
         s = with_analyzer(locked_bundle.scenario, span_hz=1e6)
         with pytest.raises(DomainError):
             det.simulate_zero_span(s)
+
+
+def peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestZeroSpanCost:
+    # memory must scale with the displayed points, not with K = RBW/VBW
+    @pytest.mark.parametrize(
+        "vbw_hz, points, k", [(100.0, 500, 10**4), (1e-6, 1000, 10**12)], ids=["k1e4", "k1e12"]
+    )
+    def test_peak_memory_independent_of_video_averages(self, locked_bundle, vbw_hz, points, k):
+        s = with_analyzer(locked_bundle.scenario, vbw_hz=vbw_hz, points=points)
+        assert s.analyzer.video_averages == k
+        assert peak_traced_bytes(det.simulate_zero_span, s) < 2**20
 
 
 class TestFrequencySweep:

@@ -304,6 +304,27 @@ class TestResidualJitter:
         with pytest.raises(InstabilityError):
             lp.residual_jitter(spec, pure_delay_loop(125e-9, gain=2.0))
 
+    @pytest.mark.parametrize(
+        "freqs, dens",
+        [
+            ((100.0, 1.0), (1e-6, 1e-4)),
+            ((1.0, 1.0, 100.0), (1e-4, 1e-5, 1e-6)),
+            ((0.0, 100.0), (1e-4, 1e-6)),
+            ((-1.0, 100.0), (1e-4, 1e-6)),
+            ((1.0, math.inf), (1e-4, 1e-6)),
+            ((math.nan, 100.0), (1e-4, 1e-6)),
+            ((1.0, 100.0), (1e-4, math.nan)),
+            ((1.0, 100.0), (math.inf, 1e-6)),
+        ],
+        ids=["descending", "repeated", "zero", "negative", "inf_knot", "nan_knot",
+             "nan_density", "inf_density"],
+    )
+    def test_bad_table_rejected(self, freqs, dens):
+        with pytest.raises(DomainError):
+            lp.PhaseNoiseSpectrum(
+                kind="table", f_min=1.0, f_max=100.0, frequencies_hz=freqs, densities=dens
+            )
+
     def test_table_spectrum_interpolates(self):
         spec = lp.PhaseNoiseSpectrum(
             kind="table",

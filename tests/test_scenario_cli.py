@@ -204,6 +204,21 @@ class TestCli:
         jitter_free.write_text(MINIMAL.replace("0.8 deg", "0 deg"))
         assert run_cli("optimize", str(jitter_free), "--out-dir", str(tmp_path), "--quiet") == 4
 
+    @pytest.mark.parametrize(
+        "rbw, vbw",
+        [("inf Hz", "1 kHz"), ("nan Hz", "1 kHz"), ("1e300 Hz", "1e-300 Hz")],
+        ids=["inf", "nan", "overflowing_ratio"],
+    )
+    def test_non_finite_analyzer_bandwidth_is_validation_error(
+        self, tmp_path, capsys, rbw, vbw
+    ):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(
+            MINIMAL.replace("rbw = 1 MHz", f"rbw = {rbw}").replace("vbw = 1 kHz", f"vbw = {vbw}")
+        )
+        assert run_cli("simulate", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        assert "analyzer" in capsys.readouterr().err
+
     def test_csv_report_format(self, tmp_path, capsys):
         assert run_cli(
             "budget", self.SCN, "--out-dir", str(tmp_path), "--format", "csv"
@@ -212,11 +227,24 @@ class TestCli:
         assert out[0] == "key,value"
 
 
-def test_import_does_not_load_scipy():
+def src_env():
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def test_import_does_not_load_scipy():
     code = "import opasim, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_cli(tmp_path):
+    scn = SCENARIO_DIR / "zero_span_locked.scenario"
+    proc = subprocess.run(
+        [sys.executable, "-m", "opasim", "margins", str(scn), "--out-dir", str(tmp_path)],
+        env=src_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "margins_report.json").is_file()
