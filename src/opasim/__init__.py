@@ -58,6 +58,5 @@ from .fitting import (  # noqa: F401
     loss_budget_report,
     model_levels_db,
     optimal_pump_power,
-    source_squeezing_estimate,
 )
 from .scenario import ScenarioBundle, load_scenario, loads_scenario, serialize_scenario  # noqa: F401

@@ -19,11 +19,13 @@ import numpy as np
 from . import __version__
 from . import noise as nz
 from .detection import (
+    _optical_pair,
     measured_noise_ratio,
     select_measurement_frequency,
     simulate_shot_reference,
     simulate_zero_span,
     sweep_frequency,
+    trace_extrema,
 )
 from .errors import DomainError, ToolError
 from .fitting import (
@@ -32,7 +34,6 @@ from .fitting import (
     grid_search_optimal_pump,
     loss_budget_report,
     optimal_pump_power,
-    source_squeezing_estimate,
 )
 from .loop import bode, log_frequency_grid, select_shift_frequency, stability_margins
 from .scenario import load_scenario
@@ -154,6 +155,10 @@ def _cmd_simulate(bundle, report, out_dir, args):
     locked, anti = measured_noise_ratio(s, s.analyzer.center_frequency_hz)
     report.add("model_locked_db", nz.to_db(locked))
     report.add("model_anti_db", nz.to_db(anti))
+    if s.lock_mode == "scanned":
+        top, bottom = trace_extrema(trace)
+        report.add("trace_max_db", top - s.detector.shot_noise_dbm)
+        report.add("trace_min_db", bottom - s.detector.shot_noise_dbm)
 
 
 def _cmd_sweep(bundle, report, out_dir, args):
@@ -256,10 +261,7 @@ def _cmd_report(bundle, report, out_dir, args):
     locked, anti = measured_noise_ratio(s, s.analyzer.center_frequency_hz)
     report.add("measured_squeezing_db", nz.to_db(locked))
     report.add("measured_anti_squeezing_db", nz.to_db(anti))
-    pair = nz.jitter_mix(
-        nz.apply_loss(nz.opa_output_variances(s.opa), s.detection_transmittance), s.jitter
-    )
-    src = source_squeezing_estimate(pair, s.detection_transmittance)
+    src = nz.source_variances(_optical_pair(s), s.detection_transmittance)
     report.add("source_squeezing_db", nz.to_db(src.sq))
     report.add("source_anti_squeezing_db", nz.to_db(src.anti))
     _cmd_margins(bundle, report, out_dir, args)
@@ -322,3 +324,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +69,9 @@ class DetectorModel:
     shot_noise_dbm: float
     circuit: CircuitNoise
     analyzer_floor_dbm: float
-    visibility: float = 0.985
-    pd_quantum_efficiency: float = 0.98
     design_frequency_hz: float = 11e6
 
     def __post_init__(self):
-        for name, v in (
-            ("visibility", self.visibility),
-            ("pd_quantum_efficiency", self.pd_quantum_efficiency),
-        ):
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {v}")
         if float(self.circuit.level_dbm(self.design_frequency_hz)) >= self.shot_noise_dbm:
             raise DomainError(
                 "circuit noise is not below shot noise at the design frequency"
@@ -101,8 +93,6 @@ def default_detector_model(
     low_corner_hz: float | None = None,
     slope_db_per_decade: float = 20.0,
     analyzer_floor_offset_db: float = -10.0,
-    visibility: float = 0.985,
-    pd_quantum_efficiency: float = 0.98,
 ) -> DetectorModel:
     """Detector with the circuit-noise floor calibrated so the shot/circuit
     clearance peaks at the requested frequency with the requested value.
@@ -129,8 +119,6 @@ def default_detector_model(
         shot_noise_dbm=shot_noise_dbm,
         circuit=circuit,
         analyzer_floor_dbm=floor + analyzer_floor_offset_db,
-        visibility=visibility,
-        pd_quantum_efficiency=pd_quantum_efficiency,
         design_frequency_hz=clearance_frequency_hz,
     )
 
@@ -178,7 +166,6 @@ class Scenario:
     analyzer: AnalyzerSettings
     lock_mode: str = "locked"
     scan_rate_hz: float = 20.0
-    fold_circuit_into_loss: bool = False
 
     def __post_init__(self):
         if self.lock_mode not in ("locked", "scanned"):
@@ -214,13 +201,7 @@ class Trace:
 
 
 def _optical_pair(s: Scenario) -> nz.QuadraturePair:
-    q = nz.opa_output_variances(s.opa)
-    eta_det = s.detection_transmittance
-    if s.fold_circuit_into_loss:
-        eta_det *= 1.0 - float(
-            s.detector.circuit_ratio(s.analyzer.center_frequency_hz)
-        )
-    q = nz.apply_loss(q, eta_det)
+    q = nz.apply_loss(nz.opa_output_variances(s.opa), s.detection_transmittance)
     return nz.jitter_mix(q, s.jitter)
 
 
@@ -229,7 +210,7 @@ def measured_noise_ratio(s: Scenario, f: float) -> tuple[float, float]:
     optical variances through the full loss chain and jitter mixing, with
     circuit noise added as electrical power on top."""
     q = _optical_pair(s)
-    n_circ = 0.0 if s.fold_circuit_into_loss else float(s.detector.circuit_ratio(f))
+    n_circ = float(s.detector.circuit_ratio(f))
     return q.sq + n_circ, q.anti + n_circ
 
 
@@ -302,8 +283,6 @@ def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -
     f = np.linspace(f_min, f_max, points)
     q = _optical_pair(s)
     n_circ = np.asarray(s.detector.circuit_ratio(f), dtype=float)
-    if s.fold_circuit_into_loss:
-        n_circ = np.zeros_like(n_circ)
     sq_dbm = s.detector.shot_noise_dbm + 10.0 * np.log10(q.sq + n_circ)
     digest = s.digest()
 

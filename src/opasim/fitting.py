@@ -9,7 +9,7 @@ squared dB residuals of both branches, with an analytic Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "fit_pump_sweep",
     "optimal_pump_power",
     "grid_search_optimal_pump",
-    "source_squeezing_estimate",
     "loss_budget_report",
     "BudgetReport",
 ]
@@ -306,13 +305,6 @@ def grid_search_optimal_pump(
     i = int(np.argmin(_mixed_pair(grid, eta, alpha, theta_rad)[0]))
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)
     return float(fine[np.argmin(_mixed_pair(fine, eta, alpha, theta_rad)[0])])
-
-
-def source_squeezing_estimate(
-    measured: nz.QuadraturePair, detection_transmittance: float
-) -> nz.QuadraturePair:
-    """Variances referred back through the detection chain."""
-    return nz.source_variances(measured, detection_transmittance)
 
 
 @dataclass(frozen=True)

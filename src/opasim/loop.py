@@ -208,7 +208,7 @@ def _unwrapped_phase_deg(system, f_grid: np.ndarray) -> np.ndarray:
     return np.degrees(np.unwrap(np.angle(system.response(f_grid))))
 
 
-def _bisect_on_grid(system, f_lo, f_hi, target_fn, rel_tol=1e-3):
+def _bisect_on_grid(f_lo, f_hi, target_fn, rel_tol=1e-3):
     """Bisection between adjacent grid points; target_fn(f) changes sign."""
     lo, hi = f_lo, f_hi
     while (hi - lo) / hi > rel_tol:
@@ -246,7 +246,7 @@ def stability_margins(
             # continue the unwrapped phase locally from the lower grid point
             return p_lo + math.degrees(np.angle(loop.response(f) / h_lo)) + 180.0
 
-        phase_crossover = _bisect_on_grid(loop, f_lo, f_hi, phase_rel)
+        phase_crossover = _bisect_on_grid(f_lo, f_hi, phase_rel)
         gain_margin = -20.0 * math.log10(abs(loop.response(phase_crossover)))
     elif idx.size and idx[0] == 0:
         phase_crossover = float(grid[0])
@@ -260,7 +260,7 @@ def stability_margins(
         def gain_rel(f):
             return math.log10(abs(loop.response(f)))
 
-        gain_crossover = _bisect_on_grid(loop, grid[i], grid[i + 1], gain_rel)
+        gain_crossover = _bisect_on_grid(grid[i], grid[i + 1], gain_rel)
         # phase at the crossover, continued from the nearest grid point
         phase_at = phase[i] + math.degrees(np.angle(loop.response(gain_crossover) / h[i]))
         phase_margin = 180.0 + phase_at

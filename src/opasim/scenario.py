@@ -9,7 +9,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ScenarioParseError, ScenarioValidationError, DomainError
 from . import noise as nz
@@ -95,8 +95,6 @@ _SCHEMA = {
         "circuit_high_corner",
         "circuit_slope",
         "analyzer_floor_offset",
-        "visibility",
-        "pd_quantum_efficiency",
     },
     "analyzer": {"center_frequency", "span", "rbw", "vbw", "sweep_time", "points", "seed"},
     "lock_loops": {
@@ -108,6 +106,12 @@ _SCHEMA = {
     },
     "frequency_sweep": {"start", "stop", "points"},
     "fit_bounds": {"eta_min", "eta_max", "alpha_min", "alpha_max", "jitter_max"},
+}
+
+# Losses that act through the detection chain, not through detector settings.
+_DETECTION_LOSS_KEYS = {
+    "visibility": "the mode-mismatch loss 1 - V^2",
+    "pd_quantum_efficiency": "the photodiode loss 1 - QE",
 }
 
 _REQUIRED = {
@@ -135,7 +139,12 @@ def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
         allowed = _SCHEMA[section]
         if allowed is not None:
             for key in parser[section]:
-                if key not in allowed:
+                if section == "detector" and key in _DETECTION_LOSS_KEYS:
+                    errors.append(
+                        f"detector.{key}: not a detector setting; give "
+                        f"{_DETECTION_LOSS_KEYS[key]} as an entry of [detection_loss]"
+                    )
+                elif key not in allowed:
                     errors.append(f"{section}.{key}: unknown key")
     for section, keys in _REQUIRED.items():
         if not parser.has_section(section):
@@ -182,8 +191,6 @@ def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
         high_corner_hz=get("detector", "circuit_high_corner", "frequency", 30e6),
         slope_db_per_decade=get("detector", "circuit_slope", "slope", 20.0),
         analyzer_floor_offset_db=get("detector", "analyzer_floor_offset", "db", -10.0),
-        visibility=get("detector", "visibility", "fraction", 0.985),
-        pd_quantum_efficiency=get("detector", "pd_quantum_efficiency", "fraction", 0.98),
     )
 
     analyzer_vals = dict(
@@ -316,8 +323,6 @@ def serialize_scenario(bundle: ScenarioBundle) -> str:
     kv("circuit_high_corner", det.circuit.high_corner_hz, "Hz")
     kv("circuit_slope", det.circuit.slope_db_per_decade, "dB_per_decade")
     kv("analyzer_floor_offset", det.analyzer_floor_dbm - det.circuit.floor_dbm, "dB")
-    kv("visibility", det.visibility, "fraction")
-    kv("pd_quantum_efficiency", det.pd_quantum_efficiency, "fraction")
     out.write("\n")
     sec("analyzer")
     a = s.analyzer

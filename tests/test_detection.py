@@ -67,13 +67,6 @@ class TestMeasuredNoiseRatio:
         locked, _ = det.measured_noise_ratio(s_blocked, 11e6)
         assert locked == pytest.approx(1.0 + float(s.detector.circuit_ratio(11e6)), rel=1e-12)
 
-    def test_fold_circuit_mode_close_to_additive(self, locked_bundle):
-        s = locked_bundle.scenario
-        folded = dataclasses.replace(s, fold_circuit_into_loss=True)
-        a, _ = det.measured_noise_ratio(s, 11e6)
-        b, _ = det.measured_noise_ratio(folded, 11e6)
-        assert nz.to_db(a) == pytest.approx(nz.to_db(b), abs=0.02)
-
 
 class TestZeroSpan:
     def test_deterministic_under_seed(self, locked_bundle):

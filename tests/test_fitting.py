@@ -141,17 +141,17 @@ class TestOptimalPumpPower:
 class TestSourceSqueezing:
     def test_operating_point(self):
         measured = nz.QuadraturePair(anti=92.39, sq=0.14638)
-        src = ft.source_squeezing_estimate(measured, 0.92)
+        src = nz.source_variances(measured, 0.92)
         assert src.sq == pytest.approx(0.07215, abs=2e-5)
         assert nz.to_db(src.sq) == pytest.approx(-11.42, abs=0.01)
 
     def test_identity_without_loss(self):
         measured = nz.QuadraturePair(anti=92.39, sq=0.14638)
-        assert ft.source_squeezing_estimate(measured, 1.0) == measured
+        assert nz.source_variances(measured, 1.0) == measured
 
     def test_round_trip_with_apply_loss(self):
         q = nz.QuadraturePair(anti=50.0, sq=0.2)
-        back = ft.source_squeezing_estimate(nz.apply_loss(q, 0.92), 0.92)
+        back = nz.source_variances(nz.apply_loss(q, 0.92), 0.92)
         assert back.anti == pytest.approx(q.anti, rel=1e-12)
         assert back.sq == pytest.approx(q.sq, rel=1e-12)
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,13 @@ import pytest
 
 from opasim import fitting as ft
 from opasim.cli import run
+from opasim.detection import Trace, trace_extrema
 from opasim.errors import ScenarioParseError, ScenarioValidationError
 from opasim.scenario import load_scenario, loads_scenario, serialize_scenario
 
 from conftest import SCENARIO_DIR
+
+REPO = SCENARIO_DIR.parent
 
 MINIMAL = """
 [opa]
@@ -51,10 +56,17 @@ class TestLoadScenario:
 
     def test_minimal_defaults(self):
         b = loads_scenario(MINIMAL)
-        assert b.scenario.detector.visibility == 0.985
         assert b.crossover_targets_hz == (4e6, 2e6)
         assert b.sweep_points == 97
         assert b.fit_bounds.eta_min == 0.5
+
+    @pytest.mark.parametrize("key", ["visibility", "pd_quantum_efficiency"])
+    def test_detector_loss_keys_point_to_detection_loss(self, key):
+        with pytest.raises(ScenarioValidationError) as err:
+            loads_scenario(MINIMAL + f"\n[detector]\n{key} = 98.5 percent\n")
+        assert any(
+            f"detector.{key}" in v and "[detection_loss]" in v for v in err.value.violations
+        ), err.value.violations
 
     def test_empty_file_is_parse_error(self):
         with pytest.raises(ScenarioParseError):
@@ -194,6 +206,50 @@ class TestCli:
             "multiplicative_transmittance"
         ]
 
+    def test_fit_bundled_pump_sweep(self, tmp_path):
+        # the data file is the model at (0.88, 8.2 /W, 0.8 deg), rounded to 1e-4 dB
+        rows = np.loadtxt(REPO / "scenarios" / "pump_sweep.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (8, 3)
+        sq, anti = ft.model_levels_db(rows[:, 0], 0.88, 8.2, math.radians(0.8))
+        assert np.max(np.abs(rows[:, 1] - sq)) <= 5e-5
+        assert np.max(np.abs(rows[:, 2] - anti)) <= 5e-5
+        assert run_cli(
+            "fit", self.SCN, "--data", str(REPO / "scenarios" / "pump_sweep.csv"),
+            "--out-dir", str(tmp_path), "--quiet",
+        ) == 0
+        r = json.loads((tmp_path / "fit_report.json").read_text())["results"]
+        assert r["converged"] is True
+        assert r["transmittance"] == pytest.approx(0.88, rel=1e-4)
+        assert r["shg_efficiency_per_watt"] == pytest.approx(8.2, rel=1e-4)
+        assert r["jitter_deg"] == pytest.approx(0.8, rel=1e-4)
+
+    def test_scanned_simulate_reports_trace_extrema(self, tmp_path):
+        scn = str(SCENARIO_DIR / "zero_span_scanned.scenario")
+        assert run_cli("simulate", scn, "--out-dir", str(tmp_path), "--quiet") == 0
+        r = json.loads((tmp_path / "simulate_report.json").read_text())["results"]
+        axis, values = np.loadtxt(
+            tmp_path / "zero_span.csv", delimiter=",", skiprows=2, unpack=True
+        )
+        top, bottom = trace_extrema(Trace(axis=axis, values_dbm=values, axis_kind="time"))
+        shot = load_scenario(scn).scenario.detector.shot_noise_dbm
+        assert r["trace_max_db"] == pytest.approx(top - shot, abs=1e-6)
+        assert r["trace_min_db"] == pytest.approx(bottom - shot, abs=1e-6)
+        assert r["trace_max_db"] > 15.0 and r["trace_min_db"] < -8.0
+
+    def test_locked_simulate_report_keys(self, tmp_path):
+        assert run_cli("simulate", self.SCN, "--out-dir", str(tmp_path), "--quiet") == 0
+        r = json.loads((tmp_path / "simulate_report.json").read_text())["results"]
+        assert set(r) == {
+            "trace_points", "video_averages", "trace_mean_dbm", "shot_mean_dbm",
+            "relative_mean_db", "model_locked_db", "model_anti_db",
+        }
+
+    def test_detector_loss_key_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL + "\n[detector]\nvisibility = 98.5 percent\n")
+        assert run_cli("report", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        assert "[detection_loss]" in capsys.readouterr().err
+
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.scenario"
         bad.write_text(MINIMAL.replace("4.5636 percent", "130 percent"))
@@ -248,3 +304,27 @@ def test_python_dash_m_runs_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "margins_report.json").is_file()
+
+
+def test_python_dash_m_opasim_cli_runs_cli(tmp_path):
+    scn = SCENARIO_DIR / "zero_span_locked.scenario"
+    proc = subprocess.run(
+        [sys.executable, "-m", "opasim.cli", "margins", str(scn), "--out-dir", str(tmp_path)],
+        env=src_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "margins_report.json").is_file()
+
+
+def readme_cli_examples():
+    text = (REPO / "README.md").read_text()
+    block = re.search(r"### Command line\s+```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("opasim ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    examples = readme_cli_examples()
+    assert len(examples) >= 5
+    monkeypatch.chdir(REPO)
+    for argv in examples:
+        assert run([*argv, "--out-dir", str(tmp_path), "--quiet"]) == 0, argv
