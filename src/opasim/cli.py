@@ -120,11 +120,15 @@ def _read_pump_sweep_csv(path: Path) -> list[PumpSweepPoint]:
         reason = getattr(exc, "strerror", None) or exc
         raise DomainError(f"{path}: cannot read pump-sweep data: {reason}") from exc
     points = []
+    first_row = True
     for i, line in enumerate(text.splitlines()):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if i == 0 and line.startswith("pump_w"):
+        # the header is the first non-comment line, wherever it falls
+        is_header = first_row and line.startswith("pump_w")
+        first_row = False
+        if is_header:
             continue
         parts = line.split(",")
         if len(parts) != 3:

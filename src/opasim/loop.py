@@ -93,14 +93,23 @@ class TransferFunction:
     def response(self, f) -> np.ndarray:
         """Complex response at s = i 2 pi f (f in Hz, scalar or array)."""
         f = np.asarray(f, dtype=float)
-        if np.any(f <= 0):
+        if (f <= 0).any():
             raise DomainError("frequencies must be > 0 Hz")
         s = 1j * 2.0 * np.pi * f
-        num = np.polyval(self.num[::-1], s)
-        den = np.polyval(self.den[::-1], s)
-        if np.any(den == 0):
+        num = _horner(self.num, s)
+        den = _horner(self.den, s)
+        if (den == 0).any():
             raise SingularityError("denominator vanishes on the evaluation grid")
-        return self.gain * num / den * np.exp(-s * self.delay)
+        h = self.gain * num / den
+        return h * np.exp(-s * self.delay) if self.delay else h
+
+
+def _horner(coeffs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
+    """Polynomial with ascending coefficients, evaluated at s."""
+    out = np.zeros_like(s)
+    for c in reversed(coeffs):
+        out = out * s + c
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,11 +158,13 @@ class LoopModel:
             raise DomainError(f"kind must be one of {LOOP_KINDS}, got {self.kind!r}")
         if self.loop_delay < 0:
             raise DomainError(f"loop_delay must be >= 0, got {self.loop_delay}")
+        # the controller is fixed, so its transfer function is built once
+        object.__setattr__(self, "_controller_tf", self.controller.transfer_function())
 
     def response(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         plant = self.fast_plant.response(f) + self.slow_plant.response(f)
-        out = self.controller.response(f) * plant
+        out = self._controller_tf.response(f) * plant
         return out * np.exp(-1j * 2.0 * np.pi * f * self.loop_delay)
 
 
@@ -208,16 +219,27 @@ def _unwrapped_phase_deg(system, f_grid: np.ndarray) -> np.ndarray:
     return np.degrees(np.unwrap(np.angle(system.response(f_grid))))
 
 
-def _bisect_on_grid(f_lo, f_hi, target_fn, rel_tol=1e-3):
-    """Bisection between adjacent grid points; target_fn(f) changes sign."""
-    lo, hi = f_lo, f_hi
-    while (hi - lo) / hi > rel_tol:
-        mid = math.sqrt(lo * hi)
-        if target_fn(lo) * target_fn(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return math.sqrt(lo * hi)
+_CROSSOVER_REL_TOL = 1e-3
+
+
+def _refine_cell(loop, f_lo: float, f_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies across one grid cell and the loop response there, from
+    one call: nodes at most _CROSSOVER_REL_TOL apart (13 for a 200/decade
+    cell) at the even indices, the geometric midpoint of each step between
+    them at the odd ones."""
+    steps = math.ceil(math.log(f_hi / f_lo) / -math.log1p(-_CROSSOVER_REL_TOL))
+    f = f_lo * (f_hi / f_lo) ** (np.arange(2 * steps + 1) / (2 * steps))
+    return f, loop.response(f)
+
+
+def _crossing_index(target: np.ndarray) -> int:
+    """Odd index of the midpoint of the first step between nodes across
+    which target changes sign.  Where roundoff keeps the far end on the
+    near side, the top step is taken."""
+    nodes = target[::2]
+    changes = np.nonzero(nodes[:-1] * nodes[1:] <= 0)[0]
+    j = changes[0] if changes.size else nodes.size - 2
+    return 2 * int(j) + 1
 
 
 def stability_margins(
@@ -228,7 +250,9 @@ def stability_margins(
 ) -> StabilityMargins:
     """Phase crossover (lowest f where unwrapped phase hits -180 deg) with
     its gain margin, and the first downward unity-gain crossing with its
-    phase margin.  Crossovers are refined by bisection to 1e-3 relative."""
+    phase margin.  Each crossover is refined to 1e-3 relative by one
+    response call on a log grid across its bracketing grid cell, which
+    also gives the response at the crossover."""
     grid = log_frequency_grid(f_min, f_max, points_per_decade)
     h = loop.response(grid)
     mag = np.abs(h)
@@ -238,16 +262,11 @@ def stability_margins(
     idx = np.nonzero(phase <= -180.0)[0]
     if idx.size and idx[0] > 0:
         i = idx[0]
-        f_lo, f_hi = grid[i - 1], grid[i]
-        p_lo = phase[i - 1]
-        h_lo = h[i - 1]
-
-        def phase_rel(f):
-            # continue the unwrapped phase locally from the lower grid point
-            return p_lo + math.degrees(np.angle(loop.response(f) / h_lo)) + 180.0
-
-        phase_crossover = _bisect_on_grid(f_lo, f_hi, phase_rel)
-        gain_margin = -20.0 * math.log10(abs(loop.response(phase_crossover)))
+        f, hf = _refine_cell(loop, grid[i - 1], grid[i])
+        # continue the unwrapped phase locally from the lower grid point
+        k = _crossing_index(phase[i - 1] + np.degrees(np.angle(hf / h[i - 1])) + 180.0)
+        phase_crossover = float(f[k])
+        gain_margin = -20.0 * math.log10(abs(hf[k]))
     elif idx.size and idx[0] == 0:
         phase_crossover = float(grid[0])
         gain_margin = -20.0 * math.log10(mag[0])
@@ -256,14 +275,12 @@ def stability_margins(
     down = np.nonzero((mag[:-1] >= 1.0) & (mag[1:] < 1.0))[0]
     if down.size:
         i = down[0]
-
-        def gain_rel(f):
-            return math.log10(abs(loop.response(f)))
-
-        gain_crossover = _bisect_on_grid(grid[i], grid[i + 1], gain_rel)
+        f, hf = _refine_cell(loop, grid[i], grid[i + 1])
+        with np.errstate(divide="ignore"):
+            k = _crossing_index(np.log10(np.abs(hf)))
+        gain_crossover = float(f[k])
         # phase at the crossover, continued from the nearest grid point
-        phase_at = phase[i] + math.degrees(np.angle(loop.response(gain_crossover) / h[i]))
-        phase_margin = 180.0 + phase_at
+        phase_margin = 180.0 + phase[i] + math.degrees(np.angle(hf[k] / h[i]))
 
     return StabilityMargins(
         phase_crossover_hz=phase_crossover,
@@ -304,38 +321,29 @@ def select_shift_frequency(
     if bad:
         raise DomainError(f"candidate shifts must be > 0 Hz, got {bad}")
 
-    feasibility = {}
-    grids = {}
+    grid = log_frequency_grid(min(flat_reference_hz, 1e3), 2e7)
+    shifts = np.array(cands)
+    accepted = np.ones(shifts.size, dtype=bool)
     for loop in loops:
         m = stability_margins(loop)
-        ok = (m.gain_margin_db is None or m.gain_margin_db >= min_gain_margin_db) and (
+        keeps_margins = (m.gain_margin_db is None or m.gain_margin_db >= min_gain_margin_db) and (
             m.phase_margin_deg is None or m.phase_margin_deg >= min_phase_margin_deg
         )
-        feasibility[id(loop)] = ok
-        grid = log_frequency_grid(min(flat_reference_hz, 1e3), 2e7)
-        grids[id(loop)] = (grid, _unwrapped_phase_deg(loop, grid))
+        beat = shifts * demod_frequency(1.0, loop.kind)  # linear in the shift
+        ref = np.abs(loop.response(flat_reference_hz))
+        with np.errstate(divide="ignore"):
+            flat_db = 20.0 * np.log10(np.abs(loop.response(beat)) / ref)
+        # phase distance from -180 deg at the beat frequency
+        phase_at = np.interp(np.log10(beat), np.log10(grid), _unwrapped_phase_deg(loop, grid))
+        accepted &= (
+            keeps_margins
+            & (beat <= grid[-1])
+            & (np.abs(flat_db) <= flat_band_db)
+            & (phase_at + 180.0 >= min_phase_margin_deg)
+        )
 
-    def candidate_ok(shift):
-        for loop in loops:
-            if not feasibility[id(loop)]:
-                return False
-            fd = demod_frequency(shift, loop.kind)
-            grid, phase = grids[id(loop)]
-            if fd > grid[-1]:
-                return False
-            ref = abs(loop.response(flat_reference_hz))
-            at = abs(loop.response(fd))
-            if abs(20.0 * math.log10(at / ref)) > flat_band_db:
-                return False
-            # phase distance from -180 deg at the beat frequency
-            phase_at = float(np.interp(math.log10(fd), np.log10(grid), phase))
-            if phase_at - (-180.0) < min_phase_margin_deg:
-                return False
-        return True
-
-    for shift in reversed(cands):
-        if candidate_ok(shift):
-            return shift
+    if accepted.any():
+        return cands[np.flatnonzero(accepted)[-1]]
     raise NoFeasibleCandidateError(
         f"no candidate in {cands} satisfies the margin and flat-gain constraints"
     )
@@ -393,6 +401,10 @@ class PhaseNoiseSpectrum:
 _POINTS_PER_DECADE = 200
 _MAX_DOUBLINGS = 4
 _REL_TOL = 1e-8
+# largest turn of the loop phase between adjacent nodes for which the
+# N-vs-2N estimate is trusted: every other node then still samples each
+# turn of the phase at least six times
+_MAX_PHASE_STEP_DEG = 30.0
 
 
 def _simpson(y: np.ndarray, h: float) -> float:
@@ -402,8 +414,9 @@ def _simpson(y: np.ndarray, h: float) -> float:
 def _suppressed_variance(noise: PhaseNoiseSpectrum, loop, points_per_decade: int):
     """Composite Simpson in u = ln f of S(f) f / |1 + L(f)|^2, with panels
     split at every table knot inside the band so each panel is smooth.
-    Returns the rule on the full grid and |S_2N - S_N| / 15, its error
-    estimate from the same rule on every other point."""
+    Returns the rule on the full grid, |S_2N - S_N| / 15, its error
+    estimate from the same rule on every other point, and the largest
+    turn (deg) of the loop phase between adjacent nodes."""
     knots = sorted({noise.f_min, noise.f_max}
                    | {f for f in noise.frequencies_hz if noise.f_min < f < noise.f_max})
     edges = np.log(knots)
@@ -412,7 +425,9 @@ def _suppressed_variance(noise: PhaseNoiseSpectrum, loop, points_per_decade: int
               for a, b in zip(edges[:-1], edges[1:])]
     f = np.exp(np.concatenate([np.linspace(a, b, n + 1) for a, b, n in panels]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = noise.density(f) * f / np.abs(1.0 + loop.response(f)) ** 2
+        h = loop.response(f)
+        y = noise.density(f) * f / np.abs(1.0 + h) ** 2
+        phase_step = float(np.max(np.abs(np.angle(h[1:] * h[:-1].conj()))))
     fine = coarse = 0.0
     start = 0
     for a, b, n in panels:
@@ -421,13 +436,15 @@ def _suppressed_variance(noise: PhaseNoiseSpectrum, loop, points_per_decade: int
         fine += _simpson(panel, h)
         coarse += _simpson(panel[::2], 2.0 * h)
         start += n + 1
-    return fine, abs(fine - coarse) / 15.0
+    return fine, abs(fine - coarse) / 15.0, math.degrees(phase_step)
 
 
 def _residual_variance(noise: PhaseNoiseSpectrum, loop) -> float:
     """Closed-loop phase variance (rad^2) to 1e-8 relative.  The grid
     starts at 200 points/decade and doubles while the N-vs-2N estimate
-    exceeds the tolerance, which only sharply peaked suppression needs."""
+    exceeds the tolerance, which only sharply peaked suppression needs, or
+    while the loop phase turns too far between nodes for the estimate to
+    be trusted, which only long delays over a wide band cause."""
     margins = stability_margins(loop)
     if not margins.stable:
         raise InstabilityError(
@@ -435,13 +452,14 @@ def _residual_variance(noise: PhaseNoiseSpectrum, loop) -> float:
             f"phase margin {margins.phase_margin_deg})"
         )
     for doubling in range(_MAX_DOUBLINGS + 1):
-        var, err = _suppressed_variance(noise, loop, _POINTS_PER_DECADE << doubling)
+        var, err, phase_step = _suppressed_variance(noise, loop, _POINTS_PER_DECADE << doubling)
         if not (math.isfinite(var) and math.isfinite(err)) or var < 0:
             raise IntegrationError(f"phase-noise integral returned {var!r}")
-        if err <= _REL_TOL * var:
+        if err <= _REL_TOL * var and phase_step <= _MAX_PHASE_STEP_DEG:
             return var
     raise IntegrationError(
-        f"phase-noise integral {var!r} not converged: error estimate {err:.3g} "
+        f"phase-noise integral {var!r} not converged: error estimate {err:.3g}, "
+        f"loop phase step {phase_step:.3g} deg "
         f"at {_POINTS_PER_DECADE << _MAX_DOUBLINGS} points/decade"
     )
 

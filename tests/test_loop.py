@@ -22,6 +22,33 @@ def pure_delay_loop(tau, gain=1.0, kind="opa_probe"):
     )
 
 
+class CountingLoop:
+    """Wraps a loop and counts its response calls."""
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.calls = 0
+
+    def response(self, f):
+        self.calls += 1
+        return self.loop.response(f)
+
+
+def dense_crossovers(loop, f_min=1.0, f_max=2e7, points=200_001):
+    """Reference (phase, gain) crossovers on a geometric grid ~8.4e-5 apart:
+    the first node at or below -180 deg and the first node where |L| falls
+    below 1, each reported as the geometric midpoint of its cell."""
+    f = np.geomspace(f_min, f_max, points)
+    h = loop.response(f)
+    phase = np.degrees(np.unwrap(np.angle(h)))
+    mag = np.abs(h)
+    below = np.nonzero(phase <= -180.0)[0]
+    down = np.nonzero((mag[:-1] >= 1.0) & (mag[1:] < 1.0))[0]
+    phase_crossover = math.sqrt(f[below[0] - 1] * f[below[0]]) if below.size else None
+    gain_crossover = math.sqrt(f[down[0]] * f[down[0] + 1]) if down.size else None
+    return phase_crossover, gain_crossover
+
+
 class TestTransferFunction:
     def test_integrator_identities(self):
         tf = lp.TransferFunction.integrator()
@@ -118,6 +145,31 @@ class TestStabilityMargins:
         assert m_slow.phase_crossover_hz == pytest.approx(2.0e6, rel=0.02)
         assert m_fast.stable and m_slow.stable
 
+    def test_refine_makes_three_response_calls(self):
+        loop = CountingLoop(lp.default_lock_loops()[0])
+        m = lp.stability_margins(loop)
+        assert m.phase_crossover_hz is not None and m.gain_crossover_hz is not None
+        assert loop.calls <= 3
+
+    @pytest.mark.parametrize(
+        "kind, param",
+        [("default", xo) for xo in (1.5e6, 2e6, 3e6, 4e6, 5e6, 6e6)]
+        + [("pure_delay", tau) for tau in (125e-9, 250e-9)],
+    )
+    def test_crossovers_match_dense_oracle(self, kind, param):
+        if kind == "default":
+            loop = lp.default_lock_loops(opa_probe_crossover_hz=param)[0]
+        else:
+            # gain 0.5 keeps |L| off 1, so only the phase crossover exists
+            loop = pure_delay_loop(param, gain=0.5)
+        m = lp.stability_margins(loop)
+        phase_ref, gain_ref = dense_crossovers(loop)
+        for got, ref in ((m.phase_crossover_hz, phase_ref), (m.gain_crossover_hz, gain_ref)):
+            if ref is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(ref, rel=1e-3)
+
     def test_no_crossover_reports_none(self):
         loop = lp.LoopModel(
             controller=lp.PidController(kp=0.5),
@@ -167,6 +219,75 @@ class TestShiftSelection:
             flat_band_db=10.0,
         )
         assert best == max(c for c in cands if c < limit)
+
+    @pytest.mark.parametrize(
+        "crossovers, pm, flat_db",
+        [
+            ((1.5e6, 1.5e6), 5.0, 1.0),
+            ((1.5e6, 3e6), 30.0, 3.0),
+            ((3e6, 1.5e6), 60.0, 10.0),
+            ((4e6, 2e6), 30.0, 3.0),
+            ((4e6, 2e6), 45.0, 1.0),
+            ((6e6, 3e6), 5.0, 10.0),
+            ((6e6, 6e6), 20.0, 2.0),
+            ((2e6, 5e6), 60.0, 5.0),
+        ],
+    )
+    def test_matches_scalar_reference(self, crossovers, pm, flat_db):
+        loops = lp.default_lock_loops(*crossovers)
+        cands = list(np.geomspace(0.05e6, 12e6, 41))
+        rules = {"min_phase_margin_deg": pm, "flat_band_db": flat_db}
+        expected = scalar_select_shift(loops, cands, **rules)
+        assert expected is not None
+        assert lp.select_shift_frequency(loops, cands, **rules) == expected
+
+    @pytest.mark.parametrize(
+        "cands, kwargs",
+        [
+            ([0.25e6, 0.5e6, 1e6, 2e6, 4e6], {"min_gain_margin_db": 60.0}),
+            ([12e6, 15e6, 30e6], {}),
+            ([2.5e6, 3e6, 4e6], {}),
+            ([0.25e6, 0.5e6, 1e6, 2e6, 4e6], {"flat_band_db": 0.01}),
+        ],
+        ids=["margins", "beyond_grid", "phase_at_beat", "flat_band"],
+    )
+    def test_all_infeasible_matches_scalar_reference(self, cands, kwargs):
+        loops = lp.default_lock_loops()
+        assert scalar_select_shift(loops, cands, **kwargs) is None
+        with pytest.raises(NoFeasibleCandidateError):
+            lp.select_shift_frequency(loops, cands, **kwargs)
+
+
+def scalar_select_shift(loops, candidates, min_gain_margin_db=6.0, min_phase_margin_deg=30.0,
+                        flat_band_db=3.0, flat_reference_hz=1e4):
+    """The selection rule checked one candidate and one loop at a time:
+    the largest shift whose beat frequency, on every loop that keeps both
+    margins, lies below 20 MHz, within flat_band_db of the gain at
+    flat_reference_hz and at least min_phase_margin_deg above -180 deg.
+    None when no candidate passes."""
+    grid = lp.log_frequency_grid(min(flat_reference_hz, 1e3), 2e7)
+
+    def accepts(loop, shift):
+        m = lp.stability_margins(loop)
+        if m.gain_margin_db is not None and m.gain_margin_db < min_gain_margin_db:
+            return False
+        if m.phase_margin_deg is not None and m.phase_margin_deg < min_phase_margin_deg:
+            return False
+        fd = lp.demod_frequency(shift, loop.kind)
+        if fd > grid[-1]:
+            return False
+        ref = abs(complex(loop.response(flat_reference_hz)))
+        at = abs(complex(loop.response(fd)))
+        if abs(20.0 * math.log10(at / ref)) > flat_band_db:
+            return False
+        phase = np.degrees(np.unwrap(np.angle(loop.response(grid))))
+        phase_at = float(np.interp(math.log10(fd), np.log10(grid), phase))
+        return phase_at + 180.0 >= min_phase_margin_deg
+
+    for shift in sorted(candidates, reverse=True):
+        if all(accepts(loop, shift) for loop in loops):
+            return shift
+    return None
 
 
 class TestDemodFrequency:
@@ -293,6 +414,22 @@ class TestResidualJitter:
         )
         out = lp.residual_jitter(spec, ZeroLoop()).theta
         assert out == pytest.approx(open_loop_jitter(spec), rel=1e-7)
+
+    def test_fast_phase_loop_meets_tolerance(self):
+        # integrator with a 2.3 us delay (phase margin 7.2 deg) and a white
+        # band to 20 MHz: the loop phase turns ~190 deg between nodes at the
+        # top of a 200/decade grid, and at 400/decade the N-vs-2N estimate
+        # reads 8e-9 while the variance is 3.3e-7 off
+        loop = lp.LoopModel(
+            controller=lp.PidController(ki=2 * math.pi * 1e5),
+            fast_plant=lp.TransferFunction.flat(1.0),
+            slow_plant=lp.TransferFunction.flat(0.0),
+            loop_delay=2.3e-6,
+        )
+        assert lp.stability_margins(loop).phase_margin_deg == pytest.approx(7.2, abs=0.05)
+        spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-12, f_min=1.0, f_max=2e7)
+        variance = lp.residual_jitter(spec, loop).theta ** 2
+        assert variance == pytest.approx(dense_jitter(spec, loop, 200_000) ** 2, rel=1e-8)
 
     def test_nan_loop_response_is_integration_error(self):
         spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-6, f_min=1.0, f_max=1e4)

@@ -223,6 +223,19 @@ class TestCli:
         assert r["shg_efficiency_per_watt"] == pytest.approx(8.2, rel=1e-4)
         assert r["jitter_deg"] == pytest.approx(0.8, rel=1e-4)
 
+    def test_fit_data_with_leading_comment(self, tmp_path):
+        data = REPO / "scenarios" / "pump_sweep.csv"
+        commented = tmp_path / "commented.csv"
+        commented.write_text("# pump sweep, 2023-08-11\n" + data.read_text())
+        reports = []
+        for name, csv in (("plain", data), ("commented", commented)):
+            assert run_cli(
+                "fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path / name), "--quiet"
+            ) == 0
+            report = json.loads((tmp_path / name / "fit_report.json").read_text())
+            reports.append(report["results"])
+        assert reports[1] == reports[0]
+
     def test_scanned_simulate_reports_trace_extrema(self, tmp_path):
         scn = str(SCENARIO_DIR / "zero_span_scanned.scenario")
         assert run_cli("simulate", scn, "--out-dir", str(tmp_path), "--quiet") == 0
