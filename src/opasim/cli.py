@@ -223,6 +223,10 @@ def _cmd_fit(bundle, report, out_dir, args):
     report.add("transmittance", result.transmittance)
     report.add("shg_efficiency_per_watt", result.shg_efficiency)
     report.add("jitter_deg", result.jitter_deg)
+    sigma = np.sqrt(np.diag(result.covariance))
+    report.add("transmittance_sigma", float(sigma[0]))
+    report.add("shg_efficiency_sigma_per_watt", float(sigma[1]))
+    report.add("jitter_sigma_deg", math.degrees(sigma[2]))
     report.add("residual_db2", result.residual)
     report.add("iterations", result.iterations)
     report.add("converged", result.converged)

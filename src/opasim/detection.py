@@ -32,7 +32,17 @@ __all__ = [
     "sweep_frequency",
     "select_measurement_frequency",
     "default_detector_model",
+    "MAX_POINTS",
+    "check_points",
 ]
+
+MAX_POINTS = 1_000_000  # cap on trace and sweep points, so no scenario asks for unbounded arrays
+
+
+def check_points(points: int, minimum: int) -> None:
+    """DomainError unless ``points`` lies in [minimum, MAX_POINTS]."""
+    if not minimum <= points <= MAX_POINTS:
+        raise DomainError(f"points must be in [{minimum}, {MAX_POINTS}], got {points}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +151,7 @@ class AnalyzerSettings:
         nz._check_finite("rbw/vbw", self.rbw_hz / self.vbw_hz)
         if self.rbw_hz < self.vbw_hz:
             raise DomainError("rbw must be >= vbw")
-        if self.points < 2:
-            raise DomainError("points must be >= 2")
+        check_points(self.points, 2)
         if self.span_hz < 0:
             raise DomainError("span must be >= 0")
         if self.sweep_time_s <= 0:
@@ -278,8 +287,7 @@ def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -
     circuit and analyzer-floor traces on a common linear grid."""
     if not 0 < f_min < f_max:
         raise DomainError("need 0 < f_min < f_max")
-    if points < 1:
-        raise DomainError("points must be >= 1")
+    check_points(points, 1)
     f = np.linspace(f_min, f_max, points)
     q = _optical_pair(s)
     n_circ = np.asarray(s.detector.circuit_ratio(f), dtype=float)

@@ -3,7 +3,13 @@ pump-sweep data, closed-form optimal pump power with a grid-search oracle,
 loss-corrected source squeezing, and loss-budget reports.
 
 The fit is a damped Gauss-Newton (Levenberg-Marquardt) over the summed
-squared dB residuals of both branches, with an analytic Jacobian.
+squared dB residuals of both branches, with an analytic Jacobian.  It works
+in (eta, alpha, s) with s = sin^2 theta in [0, sin^2 jitter_max]: the mixed
+levels are linear in s, so the jitter column of the Jacobian does not vanish
+at theta = 0 and the fit cannot stall there.  One start (the middle of the
+bounds, or the caller's guess) suffices; steps are taken over the
+parameters not held at a bound, and the fit stops on a small relative step
+or on a projected-gradient (KKT) test.
 """
 
 from __future__ import annotations
@@ -92,70 +98,97 @@ class OperatingPoint:
     source_squeezing_db: float
 
 
-def _mixed_pair(powers: np.ndarray, eta: float, alpha: float, theta: float):
+def _mixed_pair(powers: np.ndarray, eta: float, alpha: float, s: float):
+    """(R'-, R'+, R+, R-) with s = sin^2 theta: R'-/+ = R-/+ (1 - s) + R+/- s,
+    linear in s."""
     g = 2.0 * np.sqrt(alpha * powers)
     rp = (1.0 - eta) + eta * np.exp(g)
     rm = (1.0 - eta) + eta * np.exp(-g)
-    c2 = math.cos(theta) ** 2
-    s2 = 1.0 - c2
-    return rm * c2 + rp * s2, rp * c2 + rm * s2, rp, rm
+    c = 1.0 - s
+    return rm * c + rp * s, rp * c + rm * s, rp, rm
+
+
+def _sin2(theta: float) -> float:
+    # 1 - cos^2 rather than sin^2, so (1 - s) is exactly cos^2 theta
+    return 1.0 - math.cos(theta) ** 2
 
 
 def model_levels_db(powers, eta: float, alpha: float, theta: float):
     """(squeezing_db, anti_squeezing_db) of the jitter-mixed model."""
     powers = np.asarray(powers, dtype=float)
-    mm, mp, _, _ = _mixed_pair(powers, eta, alpha, theta)
+    mm, mp, _, _ = _mixed_pair(powers, eta, alpha, _sin2(theta))
     return 10.0 * np.log10(mm), 10.0 * np.log10(mp)
 
 
 def _residuals_and_jacobian(x, powers, sq_db, anti_db, with_jacobian=True):
-    eta, alpha, theta = x
+    """dB residuals of both branches, and their Jacobian in x = (eta, alpha, s)."""
+    eta, alpha, s = x
+    c = 1.0 - s
     g = 2.0 * np.sqrt(alpha * powers)
     ep, em = np.exp(g), np.exp(-g)
     rp = (1.0 - eta) + eta * ep
     rm = (1.0 - eta) + eta * em
-    c2 = math.cos(theta) ** 2
-    s2 = 1.0 - c2
-    mm = rm * c2 + rp * s2  # mixed squeezed branch
-    mp = rp * c2 + rm * s2
+    mm = rm * c + rp * s  # mixed squeezed branch
+    mp = rp * c + rm * s
     res = np.concatenate([10.0 * np.log10(mm) - sq_db, 10.0 * np.log10(mp) - anti_db])
     if not with_jacobian:
         return res, None
     dg = np.sqrt(powers / alpha)  # d g / d alpha
-    drp_deta = ep - 1.0
-    drm_deta = em - 1.0
-    drp_da = eta * ep * dg
-    drm_da = -eta * em * dg
-    sin2t = math.sin(2.0 * theta)
-    jac = np.empty((res.size, 3))
-    for row, (m, ra_e, rb_e, ra_a, rb_a, sign) in enumerate(
-        (
-            (mm, drm_deta, drp_deta, drm_da, drp_da, +1.0),
-            (mp, drp_deta, drm_deta, drp_da, drm_da, -1.0),
-        )
-    ):
-        sl = slice(row * powers.size, (row + 1) * powers.size)
-        jac[sl, 0] = _DB * (ra_e * c2 + rb_e * s2) / m
-        jac[sl, 1] = _DB * (ra_a * c2 + rb_a * s2) / m
-        jac[sl, 2] = _DB * (sign * (rp - rm) * sin2t) / m
+    drp_deta, drm_deta = ep - 1.0, em - 1.0
+    drp_da, drm_da = eta * ep * dg, -eta * em * dg
+    n = powers.size
+    jac = np.empty((2 * n, 3))
+    jac[:n, 0] = (drm_deta * c + drp_deta * s) / mm
+    jac[n:, 0] = (drp_deta * c + drm_deta * s) / mp
+    jac[:n, 1] = (drm_da * c + drp_da * s) / mm
+    jac[n:, 1] = (drp_da * c + drm_da * s) / mp
+    # the s column stays nonzero at s = 0, so theta = 0 is no stationary trap
+    jac[:n, 2] = (rp - rm) / mm
+    jac[n:, 2] = (rm - rp) / mp
+    jac *= _DB
     return res, jac
 
 
-def _levenberg_marquardt(x0, powers, sq_db, anti_db, bounds, max_iter=200, tol=1e-9):
-    lo, hi = bounds.lower, bounds.upper
+_MAX_ITER = 200
+_STEP_TOL = 1e-9  # relative step
+_KKT_TOL = 1e-10  # projected, box-scaled gradient over sqrt(cost)
+
+
+def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
+    """Box-constrained Levenberg-Marquardt from x0 in (eta, alpha, s).
+
+    Each step fixes the parameters that sit on a bound with the descent
+    direction pointing out of the box, solves the damped normal equations
+    over the rest and clips, so a parameter held at a bound takes no step.
+    It stops when the relative step falls below _STEP_TOL or when the
+    projected gradient, scaled by the box width, is below
+    _KKT_TOL * sqrt(cost): a KKT test, which ends a fit whose first-order
+    conditions already hold (such as one on a corner of the box) without a
+    further step.
+    """
+    width = hi - lo
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     res, jac = _residuals_and_jacobian(x, powers, sq_db, anti_db)
     cost = float(res @ res)
     lam = 1e-3
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        jtj = jac.T @ jac
+    while True:
         jtr = jac.T @ res
-        step = None
+        blocked = ((x <= lo) & (jtr > 0)) | ((x >= hi) & (jtr < 0))
+        free = ~blocked
+        if np.linalg.norm(jtr[free] * width[free]) <= _KKT_TOL * math.sqrt(cost):
+            converged = True
+            break
+        if it == _MAX_ITER:
+            break
+        it += 1
+        jtj = (jac.T @ jac)[np.ix_(free, free)]
+        damping = np.diag(np.diag(jtj))
         for _ in range(30):
+            step = np.zeros(3)
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)) + 1e-300 * np.eye(3), -jtr)
+                step[free] = np.linalg.solve(jtj + lam * damping, -jtr[free])
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -170,28 +203,10 @@ def _levenberg_marquardt(x0, powers, sq_db, anti_db, bounds, max_iter=200, tol=1
         rel_step = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-30)
         x, res, jac, cost = x_new, res_new, jac_new, cost_new
         lam = max(lam / 3.0, 1e-12)
-        if rel_step < tol:
+        if rel_step < _STEP_TOL:
             converged = True
             break
-    return x, res, jac, cost, converged, it
-
-
-def _default_starts(bounds: FitBounds):
-    lo, hi = bounds.lower, bounds.upper
-    mids = [0.2, 0.35, 0.5, 0.65, 0.8]
-    return [lo + t * (hi - lo) for t in mids]
-
-
-def initial_guess(data: list[PumpSweepPoint], bounds: FitBounds) -> np.ndarray:
-    """Two-stage heuristic: fit the jitter-free model first, then release
-    the jitter from a small starting value."""
-    powers = np.array([d.pump_power_w for d in data])
-    sq = np.array([d.squeezing_db for d in data])
-    anti = np.array([d.anti_squeezing_db for d in data])
-    x0 = np.array([0.8, 5.0, 0.0])
-    x, *_ = _levenberg_marquardt(x0, powers, sq, anti, bounds, max_iter=60)
-    x[2] = min(math.radians(0.5), bounds.jitter_max_rad / 2.0)
-    return x
+    return x, jac, cost, converged, it
 
 
 def fit_pump_sweep(
@@ -201,9 +216,12 @@ def fit_pump_sweep(
 ) -> FitResult:
     """Joint least-squares fit of both branches in dB.
 
-    Falls back to five deterministic multi-starts when the first solution
-    fails a gradient-norm test; raises NonConvergenceError (carrying the
-    best iterate) if nothing converges.
+    One Levenberg-Marquardt run in (eta, alpha, s = sin^2 theta), started
+    from ``initial`` (eta, alpha, theta) or else from the middle of the
+    bounds.  The covariance is sigma^2 (J^T J)^-1 mapped back to
+    (eta, alpha, theta); its theta row and column are inf when the fit ends
+    at theta = 0, where d theta / d s diverges.  Raises NonConvergenceError,
+    carrying the last iterate, if the fit does not converge.
     """
     bounds = bounds or FitBounds()
     if len(data) < 3:
@@ -214,38 +232,29 @@ def fit_pump_sweep(
     sq = np.array([d.squeezing_db for d in data])
     anti = np.array([d.anti_squeezing_db for d in data])
 
-    starts = [initial_guess(data, bounds)]
-    if initial is not None:
-        starts.insert(0, np.asarray(initial, dtype=float))
-    best = None
-    for x0 in starts + _default_starts(bounds):
-        x, res, jac, cost, converged, it = _levenberg_marquardt(x0, powers, sq, anti, bounds)
-        candidate = (cost, x, res, jac, converged, it)
-        prev = best
-        if best is None or (converged and not best[4]) or (converged == best[4] and cost < best[0]):
-            best = candidate
-        # an essentially perfect fit cannot be improved by more starts
-        if converged and cost < 1e-18 * max(1.0, float(sq @ sq + anti @ anti)):
-            break
-        # two independent starts agreeing on the optimum is consensus enough
-        if (
-            prev is not None
-            and converged
-            and prev[4]
-            and abs(cost - prev[0]) <= 1e-6 * max(cost, prev[0], 1e-30)
-        ):
-            break
-    cost, x, res, jac, converged, it = best
-    dof = max(res.size - 3, 1)
-    sigma2 = cost / dof
+    lo, hi = bounds.lower, bounds.upper
+    hi[2] = _sin2(hi[2])
+    if initial is None:
+        x0 = (lo + hi) / 2.0
+    else:
+        eta0, alpha0, theta0 = initial
+        x0 = np.array([eta0, alpha0, _sin2(theta0)])
+    x, jac, cost, converged, it = _levenberg_marquardt(x0, powers, sq, anti, lo, hi)
+    s = float(x[2])
+    theta = math.asin(math.sqrt(s))
     try:
-        cov = sigma2 * np.linalg.inv(jac.T @ jac)
+        cov = (cost / max(sq.size + anti.size - 3, 1)) * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((3, 3), np.nan)
+    if s > 0.0:
+        scale = np.array([1.0, 1.0, 1.0 / math.sin(2.0 * theta)])  # d theta / d s
+        cov = cov * np.outer(scale, scale)
+    else:
+        cov[2, :] = cov[:, 2] = math.inf
     result = FitResult(
         transmittance=float(x[0]),
         shg_efficiency=float(x[1]),
-        jitter_rad=float(x[2]),
+        jitter_rad=theta,
         residual=cost,
         covariance=cov,
         converged=converged,
@@ -278,7 +287,7 @@ def optimal_pump_power(
         )
     p_star = math.log(1.0 / math.tan(theta_rad)) ** 2 / (4.0 * alpha)
     sq_db, anti_db = model_levels_db(np.array([p_star]), eta, alpha, theta_rad)
-    mm, _, _, _ = _mixed_pair(np.array([p_star]), eta, alpha, theta_rad)
+    mm, _, _, _ = _mixed_pair(np.array([p_star]), eta, alpha, _sin2(theta_rad))
     source_db = nz.to_db(nz.invert_loss(float(mm[0]), detection_transmittance))
     return OperatingPoint(
         pump_power_w=p_star,
@@ -301,10 +310,11 @@ def grid_search_optimal_pump(
     linear units, which share their argmin with the dB levels."""
     if theta_rad <= 0:
         raise UnboundedOptimumError("grid search needs theta > 0")
+    s = _sin2(theta_rad)
     grid = np.arange(step, p_max + step / 2, step)
-    i = int(np.argmin(_mixed_pair(grid, eta, alpha, theta_rad)[0]))
+    i = int(np.argmin(_mixed_pair(grid, eta, alpha, s)[0]))
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)
-    return float(fine[np.argmin(_mixed_pair(fine, eta, alpha, theta_rad)[0])])
+    return float(fine[np.argmin(_mixed_pair(fine, eta, alpha, s)[0])])
 
 
 @dataclass(frozen=True)

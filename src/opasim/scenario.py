@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ScenarioParseError, ScenarioValidationError, DomainError
 from . import noise as nz
-from .detection import AnalyzerSettings, DetectorModel, Scenario, default_detector_model
+from .detection import AnalyzerSettings, DetectorModel, Scenario, check_points, default_detector_model
 from .fitting import FitBounds
 from .loop import LoopModel, default_lock_loops
 
@@ -249,6 +249,7 @@ def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
     detector = build("detector", default_detector_model, **det_kwargs)
     analyzer = build("analyzer", AnalyzerSettings, points=points, seed=seed, **analyzer_vals)
     fit_bounds = build("fit_bounds", FitBounds, **fb_kwargs)
+    build("frequency_sweep", check_points, sweep_points, 1)
     loops = None
     try:
         loops = default_lock_loops(opa_xover, lo_xover)

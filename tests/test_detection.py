@@ -29,6 +29,12 @@ class TestAnalyzerSettings:
         with pytest.raises(DomainError, match="rbw/vbw"):
             dataclasses.replace(locked_bundle.scenario.analyzer, rbw_hz=1e300, vbw_hz=1e-300)
 
+    def test_points_capped(self, locked_bundle):
+        at_cap = dataclasses.replace(locked_bundle.scenario.analyzer, points=det.MAX_POINTS)
+        assert at_cap.points == 1_000_000
+        with pytest.raises(DomainError, match="points"):
+            dataclasses.replace(at_cap, points=det.MAX_POINTS + 1)
+
 
 class TestDetectorModel:
     def test_clearance_calibration(self):
@@ -160,6 +166,10 @@ class TestZeroSpanCost:
 
 
 class TestFrequencySweep:
+    def test_points_capped(self, locked_bundle):
+        with pytest.raises(DomainError, match="points"):
+            det.sweep_frequency(locked_bundle.scenario, 2e6, 50e6, det.MAX_POINTS + 1)
+
     def test_peak_clearance_and_selection(self, locked_bundle):
         sweep = det.sweep_frequency(locked_bundle.scenario, 2e6, 50e6, 97)
         assert float(np.max(sweep.clearance_db())) == pytest.approx(25.0, abs=0.01)

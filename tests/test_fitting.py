@@ -71,15 +71,20 @@ class TestFitPumpSweep:
             ft.fit_pump_sweep(clones)
 
     def test_analytic_jacobian_matches_finite_differences(self):
+        # x = (eta, alpha, s = sin^2 theta); the last sample sits on s = 0
         powers = POWERS
         sq, anti = ft.model_levels_db(powers, TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            x = np.array([
+        samples = [
+            np.array([
                 rng.uniform(0.6, 0.98),
                 rng.uniform(2.0, 15.0),
-                rng.uniform(math.radians(0.1), math.radians(3.0)),
+                math.sin(rng.uniform(math.radians(0.1), math.radians(3.0))) ** 2,
             ])
+            for _ in range(5)
+        ]
+        samples.append(np.array([0.8, 6.0, 0.0]))
+        for x in samples:
             _, jac = ft._residuals_and_jacobian(x, powers, sq, anti)
             eps = 1e-7
             for k in range(3):
@@ -91,6 +96,94 @@ class TestFitPumpSweep:
                 rm, _ = ft._residuals_and_jacobian(xm, powers, sq, anti, with_jacobian=False)
                 fd = (rp - rm) / (2 * h)
                 assert np.allclose(jac[:, k], fd, rtol=1e-6, atol=1e-8)
+        # at theta = 0 the s column still pulls: no stationary point there
+        assert np.all(np.abs(jac[:, 2]) > 1.0)
+
+    def test_covariance_is_scaled_inverse_normal_matrix_in_theta(self):
+        r = ft.fit_pump_sweep(synthetic_data(rng=np.random.default_rng(7), noise_db=0.05))
+        x = np.array([r.transmittance, r.shg_efficiency, r.jitter_rad])
+        bounds = ft.FitBounds()
+        assert np.all(x > bounds.lower) and np.all(x < bounds.upper)
+        jac = np.empty((2 * POWERS.size, 3))
+        for k in range(3):
+            h = x[k] * 1e-6
+            xp, xm = x.copy(), x.copy()
+            xp[k] += h
+            xm[k] -= h
+            jac[:, k] = (
+                np.concatenate(ft.model_levels_db(POWERS, *xp))
+                - np.concatenate(ft.model_levels_db(POWERS, *xm))
+            ) / (2 * h)
+        sigma2 = r.residual / (2 * POWERS.size - 3)
+        np.testing.assert_allclose(r.covariance, sigma2 * np.linalg.inv(jac.T @ jac), rtol=1e-4)
+
+    def test_covariance_theta_row_is_inf_at_zero_jitter(self):
+        r = ft.fit_pump_sweep(beyond_zero_jitter_data())
+        assert r.converged and r.jitter_rad == 0.0
+        assert np.all(np.isinf(r.covariance[2, :])) and np.all(np.isinf(r.covariance[:, 2]))
+        assert np.all(np.isfinite(r.covariance[:2, :2]))
+
+    def test_start_on_kkt_corner_stops_without_a_step(self):
+        # with eta and alpha capped below the data's values, the optimum is the
+        # corner (eta_max, alpha_max, theta = 0), where every gradient points out
+        bounds = ft.FitBounds(eta_max=0.8, alpha_max=5.0)
+        corner = np.array([0.8, 5.0, 0.0])
+        r = ft.fit_pump_sweep(beyond_zero_jitter_data(), initial=corner, bounds=bounds)
+        assert r.converged and r.iterations == 0
+        assert (r.transmittance, r.shg_efficiency, r.jitter_rad) == (0.8, 5.0, 0.0)
+
+
+def beyond_zero_jitter_data():
+    """Levels continued to s = sin^2 theta = -1e-5, outside the box: the best
+    fit in the box has theta = 0."""
+    mm, mp, _, _ = ft._mixed_pair(POWERS, TRUE_ETA, TRUE_ALPHA, -1e-5)
+    sq, anti = 10.0 * np.log10(mm), 10.0 * np.log10(mp)
+    return [ft.PumpSweepPoint(p, s, a) for p, s, a in zip(POWERS, sq, anti)]
+
+
+def sweep_cost(rows, eta, alpha, theta):
+    rows = np.asarray(rows)
+    sq, anti = ft.model_levels_db(rows[:, 0], eta, alpha, theta)
+    return float(np.sum((sq - rows[:, 1]) ** 2) + np.sum((anti - rows[:, 2]) ** 2))
+
+
+# Noisy six-row sweeps and their generating (eta, alpha, theta): the benchmark's
+# design fit inputs at seed 33, index 250 and seed 13, index 148
+# (``perfbench/inputs.fit_params`` over ``latin_hypercube(deck_rng(seed, "design", 0), 324, 6)``).
+STALL_AT_ZERO_JITTER = (
+    (0.9453875182768291, 2.307048083511378, 0.03914496136816946),
+    [
+        (0.05897110672154664, -3.0636222015506336, 3.1183673865186945),
+        (0.16887825627495662, -5.005074996955731, 5.238988888956725),
+        (0.2126082326044487, -5.397631149462867, 5.820488453363487),
+        (0.2577065353257639, -5.755928828906546, 6.572802144816798),
+        (0.3244695040090514, -6.115457704697588, 7.240893105015342),
+        (0.40431679814948496, -6.953975277555436, 8.059603315209175),
+    ],
+)
+STALL_AT_JITTER_BOUND = (
+    (0.6968693287204988, 2.1453626924803006, 0.03918369393270214),
+    [
+        (0.04008224016272066, -1.6189644015367306, 1.9948350803496788),
+        (0.24274351484014114, -3.3895403555900807, 5.01124177687319),
+        (0.27176940002383904, -3.1890282045971015, 5.473860741293976),
+        (0.30560673016549733, -3.6312458305892843, 5.868844352544564),
+        (0.35257854672384176, -3.705919043909226, 6.240471979739685),
+        (0.3913162715107319, -3.6246998344110013, 6.833165464898468),
+    ],
+)
+
+
+class TestFitRegressions:
+    @pytest.mark.parametrize(
+        "case", [STALL_AT_ZERO_JITTER, STALL_AT_JITTER_BOUND], ids=["zero_jitter", "jitter_bound"]
+    )
+    def test_fit_reaches_generating_cost(self, case):
+        truth, rows = case
+        r = ft.fit_pump_sweep([ft.PumpSweepPoint(*row) for row in rows])
+        assert r.converged
+        fitted = sweep_cost(rows, r.transmittance, r.shg_efficiency, r.jitter_rad)
+        assert fitted <= sweep_cost(rows, *truth) * (1.0 + 1e-9)
 
 
 class TestOptimalPumpPower:

@@ -145,6 +145,13 @@ class TestStabilityMargins:
         assert m_slow.phase_crossover_hz == pytest.approx(2.0e6, rel=0.02)
         assert m_fast.stable and m_slow.stable
 
+    @pytest.mark.parametrize("crossover", [1.5e6, 2e6, 3e6, 4e6, 5e6, 6e6])
+    def test_delay_solve_matches_dense_phase_grid(self, crossover):
+        loop = lp.default_lock_loops(opa_probe_crossover_hz=crossover)[0]
+        probe = lp.LoopModel(loop.controller, loop.fast_plant, loop.slow_plant, loop_delay=0.0)
+        phase = lp._unwrapped_phase_deg(probe, lp.log_frequency_grid(1.0, crossover, 400))[-1]
+        assert loop.loop_delay == (180.0 + phase) / (360.0 * crossover)
+
     def test_refine_makes_three_response_calls(self):
         loop = CountingLoop(lp.default_lock_loops()[0])
         m = lp.stability_margins(loop)

@@ -40,6 +40,13 @@ seed = 1
 """
 
 
+def huge_points(section):
+    """MINIMAL with 10^12 points in ``section``; only ever loaded, never run."""
+    if section == "analyzer":
+        return MINIMAL.replace("points = 500", "points = 1000000000000")
+    return MINIMAL + "\n[frequency_sweep]\npoints = 1000000000000\n"
+
+
 class TestLoadScenario:
     def test_bundled_scenario_fields(self, locked_bundle):
         s = locked_bundle.scenario
@@ -67,6 +74,14 @@ class TestLoadScenario:
         assert any(
             f"detector.{key}" in v and "[detection_loss]" in v for v in err.value.violations
         ), err.value.violations
+
+    @pytest.mark.parametrize("section", ["analyzer", "frequency_sweep"])
+    def test_huge_point_count_rejected(self, section):
+        with pytest.raises(ScenarioValidationError) as err:
+            loads_scenario(huge_points(section))
+        assert any(v.startswith(section) and "1000000" in v for v in err.value.violations), (
+            err.value.violations
+        )
 
     def test_empty_file_is_parse_error(self):
         with pytest.raises(ScenarioParseError):
@@ -169,6 +184,13 @@ class TestCli:
         assert report["results"]["transmittance"] == pytest.approx(0.88, rel=1e-5)
         assert report["results"]["jitter_deg"] == pytest.approx(0.8, rel=1e-5)
 
+    @pytest.mark.parametrize("section", ["analyzer", "frequency_sweep"])
+    def test_huge_point_count_exits_2(self, tmp_path, section):
+        # margins never allocates points, so this is safe even without the cap
+        scn = tmp_path / "huge.scenario"
+        scn.write_text(huge_points(section))
+        assert run_cli("margins", str(scn), "--out-dir", str(tmp_path), "--quiet") == 2
+
     def test_fit_without_data_is_validation_error(self, tmp_path):
         assert run_cli("fit", self.SCN, "--out-dir", str(tmp_path), "--quiet") == 2
 
@@ -222,6 +244,9 @@ class TestCli:
         assert r["transmittance"] == pytest.approx(0.88, rel=1e-4)
         assert r["shg_efficiency_per_watt"] == pytest.approx(8.2, rel=1e-4)
         assert r["jitter_deg"] == pytest.approx(0.8, rel=1e-4)
+        # the data are rounded to 1e-4 dB, so every 1-sigma error is tiny but nonzero
+        for key in ("transmittance_sigma", "shg_efficiency_sigma_per_watt", "jitter_sigma_deg"):
+            assert 0 < r[key] < 1e-4, key
 
     def test_fit_data_with_leading_comment(self, tmp_path):
         data = REPO / "scenarios" / "pump_sweep.csv"
