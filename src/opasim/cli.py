@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from . import noise as nz
 from .detection import (
+    MAX_POINTS,
     _optical_pair,
     measured_noise_ratio,
     select_measurement_frequency,
@@ -119,28 +120,35 @@ def _read_pump_sweep_csv(path: Path) -> list[PumpSweepPoint]:
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise DomainError(f"{path}: cannot read pump-sweep data: {reason}") from exc
+    rows = sum(1 for _ in _data_rows(text))
+    if rows > MAX_POINTS:
+        raise DomainError(f"{path}: at most {MAX_POINTS} data rows, got {rows}")
     points = []
-    first_row = True
-    for i, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        # the header is the first non-comment line, wherever it falls
-        is_header = first_row and line.startswith("pump_w")
-        first_row = False
-        if is_header:
-            continue
+    for i, line in _data_rows(text):
         parts = line.split(",")
         if len(parts) != 3:
-            raise DomainError(f"{path}:{i + 1}: expected pump_w,squeezing_db,antisqueezing_db")
+            raise DomainError(f"{path}:{i}: expected pump_w,squeezing_db,antisqueezing_db")
         try:
             values = [float(p) for p in parts]
             if not all(math.isfinite(v) for v in values):
                 raise ValueError("values must be finite numbers")
             points.append(PumpSweepPoint(*values))
         except ValueError as exc:
-            raise DomainError(f"{path}:{i + 1}: {exc}") from exc
+            raise DomainError(f"{path}:{i}: {exc}") from exc
     return points
+
+
+def _data_rows(text: str):
+    """(line number, row) of each line that is not blank, a comment or the
+    pump_w header; the header is the first non-comment line, wherever it falls."""
+    first = True
+    for i, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not (first and line.startswith("pump_w")):
+            yield i, line
+        first = False
 
 
 def _cmd_simulate(bundle, report, out_dir, args):

@@ -235,9 +235,8 @@ def _zero_span_trace(s: Scenario, sq: float, anti: float | None, seed: int, labe
     if anti is None:
         means = np.full(a.points, sq + n_circ)
     else:
-        theta = 2.0 * math.pi * s.scan_rate_hz * t
-        c2 = np.cos(theta) ** 2
-        means = sq * c2 + anti * (1.0 - c2) + n_circ
+        phase = 2.0 * math.pi * s.scan_rate_hz * t
+        means = nz.mix(sq, anti, 1.0 - np.cos(phase) ** 2)[0] + n_circ
     k = a.video_averages
     draws = np.random.default_rng(seed).gamma(k, 1.0 / k, size=a.points)
     return Trace(

@@ -99,54 +99,43 @@ class OperatingPoint:
 
 
 def _mixed_pair(powers: np.ndarray, eta: float, alpha: float, s: float):
-    """(R'-, R'+, R+, R-) with s = sin^2 theta: R'-/+ = R-/+ (1 - s) + R+/- s,
-    linear in s."""
+    """(R'-, R'+), the jitter-mixed squeezed and anti-squeezed variances,
+    linear in s = sin^2 theta."""
     g = 2.0 * np.sqrt(alpha * powers)
-    rp = (1.0 - eta) + eta * np.exp(g)
-    rm = (1.0 - eta) + eta * np.exp(-g)
-    c = 1.0 - s
-    return rm * c + rp * s, rp * c + rm * s, rp, rm
-
-
-def _sin2(theta: float) -> float:
-    # 1 - cos^2 rather than sin^2, so (1 - s) is exactly cos^2 theta
-    return 1.0 - math.cos(theta) ** 2
+    return nz.mix(nz.lossy(np.exp(-g), eta), nz.lossy(np.exp(g), eta), s)
 
 
 def model_levels_db(powers, eta: float, alpha: float, theta: float):
     """(squeezing_db, anti_squeezing_db) of the jitter-mixed model."""
-    powers = np.asarray(powers, dtype=float)
-    mm, mp, _, _ = _mixed_pair(powers, eta, alpha, _sin2(theta))
+    mm, mp = _mixed_pair(np.asarray(powers, dtype=float), eta, alpha, nz.sin2(theta))
     return 10.0 * np.log10(mm), 10.0 * np.log10(mp)
 
 
-def _residuals_and_jacobian(x, powers, sq_db, anti_db, with_jacobian=True):
-    """dB residuals of both branches, and their Jacobian in x = (eta, alpha, s)."""
+def _residuals(x, powers, sq_db, anti_db):
+    """dB residuals of both branches at x = (eta, alpha, s)."""
+    mm, mp = _mixed_pair(powers, *x)
+    return np.concatenate([10.0 * np.log10(mm) - sq_db, 10.0 * np.log10(mp) - anti_db])
+
+
+def _jacobian(x, powers):
+    """Jacobian of the dB residuals in x = (eta, alpha, s).  The mix is
+    linear, so each column is the mix of the branch derivatives over the
+    mixed level."""
     eta, alpha, s = x
-    c = 1.0 - s
     g = 2.0 * np.sqrt(alpha * powers)
     ep, em = np.exp(g), np.exp(-g)
-    rp = (1.0 - eta) + eta * ep
-    rm = (1.0 - eta) + eta * em
-    mm = rm * c + rp * s  # mixed squeezed branch
-    mp = rp * c + rm * s
-    res = np.concatenate([10.0 * np.log10(mm) - sq_db, 10.0 * np.log10(mp) - anti_db])
-    if not with_jacobian:
-        return res, None
+    rp, rm = nz.lossy(ep, eta), nz.lossy(em, eta)
     dg = np.sqrt(powers / alpha)  # d g / d alpha
-    drp_deta, drm_deta = ep - 1.0, em - 1.0
-    drp_da, drm_da = eta * ep * dg, -eta * em * dg
     n = powers.size
     jac = np.empty((2 * n, 3))
-    jac[:n, 0] = (drm_deta * c + drp_deta * s) / mm
-    jac[n:, 0] = (drp_deta * c + drm_deta * s) / mp
-    jac[:n, 1] = (drm_da * c + drp_da * s) / mm
-    jac[n:, 1] = (drp_da * c + drm_da * s) / mp
+    jac[:n, 0], jac[n:, 0] = nz.mix(em - 1.0, ep - 1.0, s)
+    jac[:n, 1], jac[n:, 1] = nz.mix(-eta * em * dg, eta * ep * dg, s)
     # the s column stays nonzero at s = 0, so theta = 0 is no stationary trap
-    jac[:n, 2] = (rp - rm) / mm
-    jac[n:, 2] = (rm - rp) / mp
+    jac[:n, 2] = rp - rm
+    jac[n:, 2] = rm - rp
+    jac /= np.concatenate(nz.mix(rm, rp, s))[:, None]  # the mixed levels
     jac *= _DB
-    return res, jac
+    return jac
 
 
 _MAX_ITER = 200
@@ -168,7 +157,8 @@ def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
     """
     width = hi - lo
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    res, jac = _residuals_and_jacobian(x, powers, sq_db, anti_db)
+    res = _residuals(x, powers, sq_db, anti_db)
+    jac = _jacobian(x, powers)
     cost = float(res @ res)
     lam = 1e-3
     converged = False
@@ -193,7 +183,7 @@ def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
                 lam *= 10.0
                 continue
             x_new = np.clip(x + step, lo, hi)
-            res_new, jac_new = _residuals_and_jacobian(x_new, powers, sq_db, anti_db)
+            res_new = _residuals(x_new, powers, sq_db, anti_db)
             cost_new = float(res_new @ res_new)
             if cost_new <= cost:
                 break
@@ -201,7 +191,8 @@ def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
         else:
             break
         rel_step = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-30)
-        x, res, jac, cost = x_new, res_new, jac_new, cost_new
+        x, res, cost = x_new, res_new, cost_new
+        jac = _jacobian(x, powers)
         lam = max(lam / 3.0, 1e-12)
         if rel_step < _STEP_TOL:
             converged = True
@@ -233,12 +224,12 @@ def fit_pump_sweep(
     anti = np.array([d.anti_squeezing_db for d in data])
 
     lo, hi = bounds.lower, bounds.upper
-    hi[2] = _sin2(hi[2])
+    hi[2] = nz.sin2(hi[2])
     if initial is None:
         x0 = (lo + hi) / 2.0
     else:
         eta0, alpha0, theta0 = initial
-        x0 = np.array([eta0, alpha0, _sin2(theta0)])
+        x0 = np.array([eta0, alpha0, nz.sin2(theta0)])
     x, jac, cost, converged, it = _levenberg_marquardt(x0, powers, sq, anti, lo, hi)
     s = float(x[2])
     theta = math.asin(math.sqrt(s))
@@ -286,14 +277,12 @@ def optimal_pump_power(
             "no jitter: squeezing improves without bound as pump power grows"
         )
     p_star = math.log(1.0 / math.tan(theta_rad)) ** 2 / (4.0 * alpha)
-    sq_db, anti_db = model_levels_db(np.array([p_star]), eta, alpha, theta_rad)
-    mm, _, _, _ = _mixed_pair(np.array([p_star]), eta, alpha, _sin2(theta_rad))
-    source_db = nz.to_db(nz.invert_loss(float(mm[0]), detection_transmittance))
+    mm, mp = _mixed_pair(np.array([p_star]), eta, alpha, nz.sin2(theta_rad))
     return OperatingPoint(
         pump_power_w=p_star,
-        squeezing_db=float(sq_db[0]),
-        anti_squeezing_db=float(anti_db[0]),
-        source_squeezing_db=source_db,
+        squeezing_db=float(10.0 * np.log10(mm)[0]),
+        anti_squeezing_db=float(10.0 * np.log10(mp)[0]),
+        source_squeezing_db=nz.to_db(nz.invert_loss(float(mm[0]), detection_transmittance)),
     )
 
 
@@ -310,7 +299,7 @@ def grid_search_optimal_pump(
     linear units, which share their argmin with the dB levels."""
     if theta_rad <= 0:
         raise UnboundedOptimumError("grid search needs theta > 0")
-    s = _sin2(theta_rad)
+    s = nz.sin2(theta_rad)
     grid = np.arange(step, p_max + step / 2, step)
     i = int(np.argmin(_mixed_pair(grid, eta, alpha, s)[0]))
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)

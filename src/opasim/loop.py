@@ -80,16 +80,6 @@ class TransferFunction:
     def pure_delay(cls, delay_s: float, gain: float = 1.0) -> "TransferFunction":
         return cls(num=(1.0,), den=(1.0,), delay=delay_s, gain=gain)
 
-    def __mul__(self, other: "TransferFunction") -> "TransferFunction":
-        num = np.polymul(self.num[::-1], other.num[::-1])[::-1]
-        den = np.polymul(self.den[::-1], other.den[::-1])[::-1]
-        return TransferFunction(
-            num=tuple(num),
-            den=tuple(den),
-            delay=self.delay + other.delay,
-            gain=self.gain * other.gain,
-        )
-
     def response(self, f) -> np.ndarray:
         """Complex response at s = i 2 pi f (f in Hz, scalar or array)."""
         f = np.asarray(f, dtype=float)
@@ -136,9 +126,6 @@ class PidController:
         num = (self.ki, self.kp + self.ki * c, self.kp * c + self.kd)
         den = (0.0, 1.0, c)
         return TransferFunction(num=num, den=den)
-
-    def response(self, f) -> np.ndarray:
-        return self.transfer_function().response(f)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,20 @@
 """Closed-form quantum-noise arithmetic for a single-pass waveguide squeezer.
 
 Quadrature variances are linear power ratios normalized to shot noise = 1.
-The two core relations are the loss-degraded parametric gain model
+The model is the loss-degraded parametric gain
 
     R_plus/minus = (1 - eta) + eta * exp(+-2 * sqrt(alpha * P))
 
-and the phase-jitter mixing of the two quadratures
+mixed by the rms residual phase error theta of the lock, linearly in
+s = sin^2(theta):
 
-    R'_plus/minus = R_plus/minus * cos^2(theta) + R_minus/plus * sin^2(theta)
+    R'_plus/minus = R_plus/minus * (1 - s) + R_minus/plus * s
 
-with theta the rms residual phase error of the lock.  Everything here is a
-pure function; dataclasses only validate their invariants.
+The kernels ``lossy`` and ``mix`` are the only place the loss and the mix
+are written; the dataclass API, the fit and the analyzer means call them.
+They use no numpy calls, so floats stay Python floats (a numpy call costs
+about a microsecond per scalar) and arrays pass through the same arithmetic.
+Dataclasses only validate their invariants.
 """
 
 from __future__ import annotations
@@ -131,32 +135,36 @@ class LossBudget:
         return sum(e.loss for e in self.elements)
 
 
+def lossy(r, eta):
+    """Variance r after a beamsplitter-type loss of transmittance eta:
+    (1 - eta) + eta * r, for floats or arrays."""
+    return (1.0 - eta) + eta * r
+
+
+def mix(a, b, s):
+    """Jitter mixing with s = sin^2 theta: (a (1 - s) + b s, b (1 - s) + a s),
+    for floats or arrays."""
+    c = 1.0 - s
+    return a * c + b * s, b * c + a * s
+
+
+def sin2(theta: float) -> float:
+    # 1 - cos^2 rather than sin^2, so (1 - s) is exactly cos^2 theta up to 45 deg
+    return 1.0 - math.cos(theta) ** 2
+
+
 def opa_output_variances(p: OpaParams) -> QuadraturePair:
     """Anti-squeezed / squeezed variances of the squeezer output after loss."""
     gain = 2.0 * math.sqrt(p.shg_efficiency * p.pump_power)
     eta = p.transmittance
-    return QuadraturePair(
-        anti=(1.0 - eta) + eta * math.exp(gain),
-        sq=(1.0 - eta) + eta * math.exp(-gain),
-    )
+    return QuadraturePair(anti=lossy(math.exp(gain), eta), sq=lossy(math.exp(-gain), eta))
 
 
-def jitter_mix(q: QuadraturePair, j: PhaseJitter, gaussian_average: bool = False) -> QuadraturePair:
-    """Mix the quadratures by the residual lock phase error.
-
-    Default is the fixed-angle substitution (theta used directly as the
-    mixing angle).  ``gaussian_average=True`` instead averages cos^2 over a
-    zero-mean Gaussian phase with std theta: <cos^2> = (1 + exp(-2 theta^2))/2.
-    """
-    if gaussian_average:
-        c2 = 0.5 * (1.0 + math.exp(-2.0 * j.theta**2))
-    else:
-        c2 = math.cos(j.theta) ** 2
-    s2 = 1.0 - c2
-    return QuadraturePair(
-        anti=q.anti * c2 + q.sq * s2,
-        sq=q.sq * c2 + q.anti * s2,
-    )
+def jitter_mix(q: QuadraturePair, j: PhaseJitter) -> QuadraturePair:
+    """Mix the quadratures by the residual lock phase error, used directly
+    as the mixing angle."""
+    anti, sq = mix(q.anti, q.sq, sin2(j.theta))
+    return QuadraturePair(anti=anti, sq=sq)
 
 
 def to_db(ratio: float) -> float:
@@ -184,11 +192,7 @@ def apply_loss(q: QuadraturePair, transmittance: float) -> QuadraturePair:
     R -> (1 - eta) + eta * R."""
     if not 0.0 <= transmittance <= 1.0:
         raise DomainError(f"transmittance must be in [0, 1], got {transmittance}")
-    eta = transmittance
-    return QuadraturePair(
-        anti=(1.0 - eta) + eta * q.anti,
-        sq=(1.0 - eta) + eta * q.sq,
-    )
+    return QuadraturePair(anti=lossy(q.anti, transmittance), sq=lossy(q.sq, transmittance))
 
 
 def invert_loss(r_measured: float, transmittance: float) -> float:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from .errors import ScenarioParseError, ScenarioValidationError, DomainError
 from . import noise as nz
-from .detection import AnalyzerSettings, DetectorModel, Scenario, check_points, default_detector_model
+from .detection import (
+    MAX_POINTS, AnalyzerSettings, DetectorModel, Scenario, check_points, default_detector_model,
+)
 from .fitting import FitBounds
 from .loop import LoopModel, default_lock_loops
 
@@ -211,12 +213,13 @@ def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
     min_pm_deg = get("lock_loops", "min_phase_margin", "angle_deg", 30.0)
     candidates = (0.25e6, 0.5e6, 1e6, 2e6, 4e6)
     if parser.has_option("lock_loops", "shift_candidates"):
-        parsed = []
-        for i, item in enumerate(parser["lock_loops"]["shift_candidates"].split(",")):
-            v = _parse_quantity(item.strip(), "frequency", f"lock_loops.shift_candidates[{i}]", errors)
-            if v is not None:
-                parsed.append(v)
-        candidates = tuple(parsed)
+        items = parser["lock_loops"]["shift_candidates"].split(",")
+        if len(items) > MAX_POINTS:
+            errors.append(f"lock_loops.shift_candidates: at most {MAX_POINTS} candidates, got {len(items)}")
+            items = []
+        parsed = (_parse_quantity(item.strip(), "frequency", f"lock_loops.shift_candidates[{i}]", errors)
+                  for i, item in enumerate(items))
+        candidates = tuple(v for v in parsed if v is not None)
 
     sweep_start = get("frequency_sweep", "start", "frequency", 2e6)
     sweep_stop = get("frequency_sweep", "stop", "frequency", 50e6)

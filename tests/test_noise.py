@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opasim import detection as det
+from opasim import fitting as ft
 from opasim import noise as nz
 from opasim.errors import DomainError, InfeasibleError
 
@@ -88,17 +90,56 @@ class TestJitterMix:
         assert out.anti + out.sq == pytest.approx(q.anti + q.sq, rel=1e-12)
         assert out.sq >= q.sq - 1e-15
 
-    def test_gaussian_average_close_to_fixed_angle_for_small_jitter(self):
-        j = nz.PhaseJitter.from_degrees(0.8)
-        fixed = nz.jitter_mix(self.q(), j)
-        avg = nz.jitter_mix(self.q(), j, gaussian_average=True)
-        assert avg.sq == pytest.approx(fixed.sq, rel=1e-3)
-
     def test_jitter_bounds(self):
         with pytest.raises(DomainError):
             nz.PhaseJitter(-0.1)
         with pytest.raises(DomainError):
             nz.PhaseJitter(math.pi / 2 + 0.01)
+
+
+class TestOneModel:
+    """The dataclass chain, the fit's array model and the analyzer means are
+    one forward model."""
+
+    @given(
+        eta_opa=st.floats(0.0, 1.0, exclude_min=True),
+        eta_det=st.floats(0.0, 1.0, exclude_min=True),
+        alpha=st.floats(1.0, 20.0),
+        pump=st.floats(0.0, 2.0),
+        deg=st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=300)
+    def test_scalar_chain_is_the_array_model(self, eta_opa, eta_det, alpha, pump, deg):
+        theta = math.radians(deg)
+        q = nz.opa_output_variances(nz.OpaParams(alpha, pump, eta_opa))
+        m = nz.jitter_mix(nz.apply_loss(q, eta_det), nz.PhaseJitter(theta))
+        sq_db, anti_db = ft.model_levels_db([pump], eta_opa * eta_det, alpha, theta)
+        # two losses in a row against one loss at the rounded product: the
+        # vacuum terms may differ by a few ulps of 1, which is all the
+        # absolute tolerance allows (sq can be as small as ~3e-6)
+        assert 10.0 ** (sq_db[0] / 10.0) == pytest.approx(m.sq, rel=1e-12, abs=1e-15)
+        assert 10.0 ** (anti_db[0] / 10.0) == pytest.approx(m.anti, rel=1e-12, abs=1e-15)
+
+    def test_scanned_trace_means_are_the_mixed_pair(self, scanned_bundle, monkeypatch):
+        class UnitDraws:  # every video average equal to its mean
+            def __init__(self, seed):
+                pass
+
+            def gamma(self, shape, scale, size):
+                return np.ones(size)
+
+        monkeypatch.setattr(np.random, "default_rng", UnitDraws)
+        s = scanned_bundle.scenario
+        trace = det.simulate_zero_span(s)
+        q = nz.jitter_mix(
+            nz.apply_loss(nz.opa_output_variances(s.opa), s.detection_transmittance), s.jitter
+        )
+        sin2 = np.sin(2.0 * math.pi * s.scan_rate_hz * trace.axis) ** 2
+        n_circ = float(s.detector.circuit_ratio(s.analyzer.center_frequency_hz))
+        expected = q.sq * (1.0 - sin2) + q.anti * sin2 + n_circ
+        means = 10.0 ** ((trace.values_dbm - s.detector.shot_noise_dbm) / 10.0)
+        np.testing.assert_allclose(means, expected, rtol=1e-12)
+        assert means.min() < 2.0 * q.sq and means.max() > 0.5 * q.anti  # both envelopes reached
 
 
 class TestDecibels:

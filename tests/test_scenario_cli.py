@@ -12,7 +12,7 @@ import pytest
 
 from opasim import fitting as ft
 from opasim.cli import run
-from opasim.detection import Trace, trace_extrema
+from opasim.detection import MAX_POINTS, Trace, trace_extrema
 from opasim.errors import ScenarioParseError, ScenarioValidationError
 from opasim.scenario import load_scenario, loads_scenario, serialize_scenario
 
@@ -190,6 +190,25 @@ class TestCli:
         scn = tmp_path / "huge.scenario"
         scn.write_text(huge_points(section))
         assert run_cli("margins", str(scn), "--out-dir", str(tmp_path), "--quiet") == 2
+
+    def test_huge_shift_candidate_count_exits_2(self, tmp_path, capsys):
+        scn = tmp_path / "huge.scenario"
+        scn.write_text(
+            MINIMAL + "\n[lock_loops]\nshift_candidates = "
+            + ", ".join(["1 MHz"] * (MAX_POINTS + 1)) + "\n"
+        )
+        assert run_cli("margins", str(scn), "--out-dir", str(tmp_path), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "lock_loops.shift_candidates" in err and str(MAX_POINTS) in err
+
+    def test_huge_data_row_count_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("pump_w,squeezing_db,antisqueezing_db\n" + "0.1,-3,5\n0.2,-5,8\n" * (MAX_POINTS // 2 + 1))
+        assert run_cli(
+            "fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet"
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(csv) in err and str(MAX_POINTS) in err
 
     def test_fit_without_data_is_validation_error(self, tmp_path):
         assert run_cli("fit", self.SCN, "--out-dir", str(tmp_path), "--quiet") == 2
