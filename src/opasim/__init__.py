@@ -22,7 +22,6 @@ from .noise import (  # noqa: F401
     visibility_to_loss,
 )
 from .loop import (  # noqa: F401
-    BodePoint,
     LoopModel,
     PhaseNoiseSpectrum,
     PidController,

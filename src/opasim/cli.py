@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -36,22 +37,10 @@ from .fitting import (
     loss_budget_report,
     optimal_pump_power,
 )
-from .loop import bode, log_frequency_grid, select_shift_frequency, stability_margins
-from .scenario import load_scenario
+from .loop import bode, demod_frequency, log_frequency_grid, select_shift_frequency, stability_margins
+from .scenario import load_scenario, serialize_scenario
 
 REPORT_SCHEMA_VERSION = 1
-
-COMMANDS = (
-    "simulate",
-    "sweep",
-    "bode",
-    "margins",
-    "select-freq",
-    "fit",
-    "optimize",
-    "budget",
-    "report",
-)
 
 
 def _fmt(value):
@@ -101,48 +90,52 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _write_trace_csv(path: Path, trace):
-    lines = [f"# scenario_digest={trace.scenario_digest} seed={trace.seed} label={trace.label}"]
+def _write_trace_csv(path: Path, trace, digest: str):
+    lines = [f"# scenario_digest={digest} seed={trace.seed} label={trace.label}"]
     lines.append("axis,value_dbm")
     lines += [f"{_fmt(a)},{_fmt(v)}" for a, v in zip(trace.axis, trace.values_dbm)]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_bode_csv(path: Path, points):
+def _write_bode_csv(path: Path, f, gain_db, phase_deg):
     lines = ["frequency_hz,gain_db,phase_deg"]
-    lines += [f"{_fmt(p.frequency_hz)},{_fmt(p.gain_db)},{_fmt(p.phase_deg)}" for p in points]
+    lines += [",".join(map(_fmt, row)) for row in np.column_stack((f, gain_db, phase_deg)).tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _read_pump_sweep_csv(path: Path) -> list[PumpSweepPoint]:
+    """The rows of a pump-sweep CSV.  They are counted a line at a time
+    before any is parsed, so an oversized file is rejected in constant memory."""
     try:
-        text = path.read_text()
+        with path.open() as fh:
+            for n, _ in enumerate(_data_rows(fh), 1):
+                if n > MAX_POINTS:
+                    raise DomainError(f"{path}: at most {MAX_POINTS} data rows, got more")
+            fh.seek(0)
+            return [_pump_sweep_point(path, i, line) for i, line in _data_rows(fh)]
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise DomainError(f"{path}: cannot read pump-sweep data: {reason}") from exc
-    rows = sum(1 for _ in _data_rows(text))
-    if rows > MAX_POINTS:
-        raise DomainError(f"{path}: at most {MAX_POINTS} data rows, got {rows}")
-    points = []
-    for i, line in _data_rows(text):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"{path}:{i}: expected pump_w,squeezing_db,antisqueezing_db")
-        try:
-            values = [float(p) for p in parts]
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError("values must be finite numbers")
-            points.append(PumpSweepPoint(*values))
-        except ValueError as exc:
-            raise DomainError(f"{path}:{i}: {exc}") from exc
-    return points
 
 
-def _data_rows(text: str):
+def _pump_sweep_point(path: Path, i: int, line: str) -> PumpSweepPoint:
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise DomainError(f"{path}:{i}: expected pump_w,squeezing_db,antisqueezing_db")
+    try:
+        values = [float(p) for p in parts]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("values must be finite numbers")
+        return PumpSweepPoint(*values)
+    except ValueError as exc:
+        raise DomainError(f"{path}:{i}: {exc}") from exc
+
+
+def _data_rows(lines):
     """(line number, row) of each line that is not blank, a comment or the
     pump_w header; the header is the first non-comment line, wherever it falls."""
     first = True
-    for i, line in enumerate(text.splitlines(), 1):
+    for i, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -155,8 +148,9 @@ def _cmd_simulate(bundle, report, out_dir, args):
     s = bundle.scenario
     trace = simulate_zero_span(s)
     shot = simulate_shot_reference(s)
-    _write_trace_csv(out_dir / "zero_span.csv", trace)
-    _write_trace_csv(out_dir / "zero_span_shot.csv", shot)
+    digest = report.data["scenario_digest"]
+    _write_trace_csv(out_dir / "zero_span.csv", trace, digest)
+    _write_trace_csv(out_dir / "zero_span_shot.csv", shot, digest)
     mean_db = 10.0 * math.log10(np.mean(10.0 ** (trace.values_dbm / 10.0)))
     shot_db = 10.0 * math.log10(np.mean(10.0 ** (shot.values_dbm / 10.0)))
     report.add("trace_points", s.analyzer.points)
@@ -183,7 +177,7 @@ def _cmd_sweep(bundle, report, out_dir, args):
         ("circuit", sweep.circuit),
         ("floor", sweep.floor),
     ):
-        _write_trace_csv(out_dir / f"sweep_{name}.csv", trace)
+        _write_trace_csv(out_dir / f"sweep_{name}.csv", trace, report.data["scenario_digest"])
     best = select_measurement_frequency(sweep)
     report.add("best_frequency_hz", best)
     report.add("max_clearance_db", float(np.max(sweep.clearance_db())))
@@ -192,9 +186,8 @@ def _cmd_sweep(bundle, report, out_dir, args):
 def _cmd_bode(bundle, report, out_dir, args):
     grid = log_frequency_grid()
     for loop in bundle.loops:
-        points = bode(loop, grid)
-        _write_bode_csv(out_dir / f"bode_{loop.kind}.csv", points)
-        report.add(f"{loop.kind}_points", len(points))
+        _write_bode_csv(out_dir / f"bode_{loop.kind}.csv", grid, *bode(loop, grid))
+        report.add(f"{loop.kind}_points", grid.size)
 
 
 def _cmd_margins(bundle, report, out_dir, args):
@@ -217,8 +210,6 @@ def _cmd_select_freq(bundle, report, out_dir, args):
         min_phase_margin_deg=bundle.min_phase_margin_deg,
     )
     report.add("shift_frequency_hz", shift)
-    from .loop import demod_frequency
-
     report.add("opa_probe_demod_hz", demod_frequency(shift, "opa_probe"))
     report.add("probe_lo_demod_hz", demod_frequency(shift, "probe_lo"))
 
@@ -302,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="opasim",
         description="Squeezed-light experiment simulator and design toolkit",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("scenario", help="scenario file path")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--out-dir", default=".", help="directory for artifacts")
@@ -327,7 +318,8 @@ def run(argv=None) -> int:
             )
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        report = RunReport(args.command, bundle.scenario.digest(), bundle.scenario.analyzer.seed)
+        digest = hashlib.sha256(serialize_scenario(bundle).encode()).hexdigest()[:16]
+        report = RunReport(args.command, digest, bundle.scenario.analyzer.seed)
         _DISPATCH[args.command](bundle, report, out_dir, args)
         (out_dir / f"{args.command.replace('-', '_')}_report.json").write_text(report.as_json())
         if not args.quiet:

@@ -11,7 +11,6 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -186,17 +185,11 @@ class Scenario:
     def detection_transmittance(self) -> float:
         return self.detection_budget.transmittance
 
-    def digest(self) -> str:
-        blob = repr(self).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class Trace:
     axis: np.ndarray  # seconds (zero span) or Hz (sweeps)
     values_dbm: np.ndarray
-    axis_kind: str  # "time" | "frequency"
-    scenario_digest: str = ""
     seed: int = 0
     label: str = ""
 
@@ -242,8 +235,6 @@ def _zero_span_trace(s: Scenario, sq: float, anti: float | None, seed: int, labe
     return Trace(
         axis=t,
         values_dbm=s.detector.shot_noise_dbm + 10.0 * np.log10(draws * means),
-        axis_kind="time",
-        scenario_digest=s.digest(),
         seed=seed,
         label=label,
     )
@@ -291,11 +282,9 @@ def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -
     q = _optical_pair(s)
     n_circ = np.asarray(s.detector.circuit_ratio(f), dtype=float)
     sq_dbm = s.detector.shot_noise_dbm + 10.0 * np.log10(q.sq + n_circ)
-    digest = s.digest()
 
     def trace(values, label):
-        return Trace(axis=f, values_dbm=values, axis_kind="frequency",
-                     scenario_digest=digest, seed=s.analyzer.seed, label=label)
+        return Trace(axis=f, values_dbm=values, seed=s.analyzer.seed, label=label)
 
     return FrequencySweep(
         frequencies_hz=f,

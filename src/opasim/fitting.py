@@ -310,7 +310,6 @@ def grid_search_optimal_pump(
 class BudgetReport:
     elements: tuple[tuple[str, float], ...]
     circuit_equiv_loss: float
-    frequency_hz: float
     multiplicative_transmittance: float
     additive_total_loss: float
 
@@ -333,7 +332,6 @@ def loss_budget_report(budget: nz.LossBudget, detector: DetectorModel | None, f_
     return BudgetReport(
         elements=tuple(elements),
         circuit_equiv_loss=circ,
-        frequency_hz=f_hz,
         multiplicative_transmittance=mult,
         additive_total_loss=add,
     )

@@ -28,7 +28,6 @@ __all__ = [
     "TransferFunction",
     "PidController",
     "LoopModel",
-    "BodePoint",
     "StabilityMargins",
     "PhaseNoiseSpectrum",
     "bode",
@@ -138,7 +137,6 @@ class LoopModel:
     slow_plant: TransferFunction
     loop_delay: float = 0.0
     kind: str = "opa_probe"
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in LOOP_KINDS:
@@ -153,13 +151,6 @@ class LoopModel:
         plant = self.fast_plant.response(f) + self.slow_plant.response(f)
         out = self._controller_tf.response(f) * plant
         return out * np.exp(-1j * 2.0 * np.pi * f * self.loop_delay)
-
-
-@dataclass(frozen=True)
-class BodePoint:
-    frequency_hz: float
-    gain_db: float
-    phase_deg: float
 
 
 @dataclass(frozen=True)
@@ -186,11 +177,10 @@ def log_frequency_grid(f_min: float = 1e3, f_max: float = 2e7, points_per_decade
     return np.logspace(math.log10(f_min), math.log10(f_max), n)
 
 
-def bode(system, frequencies) -> list[BodePoint]:
-    """Gain (dB) and unwrapped phase (deg) of any object with .response(f)."""
+def bode(system, frequencies) -> tuple[np.ndarray, np.ndarray]:
+    """(gain_db, phase_deg) arrays: gain (dB) and unwrapped phase (deg) of
+    any object with .response(f) at each frequency."""
     f = np.asarray(frequencies, dtype=float)
-    if f.size == 0:
-        return []
     if np.any(np.diff(f) <= 0):
         raise DomainError("frequencies must be sorted strictly ascending")
     h = system.response(f)
@@ -199,7 +189,7 @@ def bode(system, frequencies) -> list[BodePoint]:
         raise DomainError("zero response encountered; gain undefined in dB")
     gain_db = 20.0 * np.log10(mag)
     phase_deg = np.degrees(np.unwrap(np.angle(h)))
-    return [BodePoint(float(fi), float(g), float(p)) for fi, g, p in zip(f, gain_db, phase_deg)]
+    return gain_db, phase_deg
 
 
 def _unwrapped_phase_deg(system, f_grid: np.ndarray) -> np.ndarray:
@@ -498,10 +488,7 @@ def default_lock_loops(
     """
     controller = PidController(kp=1.0, ki=2.0 * math.pi * 100.0)
     loops = []
-    for kind, label, crossover in (
-        ("opa_probe", "squeezer-probe lock", opa_probe_crossover_hz),
-        ("probe_lo", "probe-LO lock", probe_lo_crossover_hz),
-    ):
+    for kind, crossover in zip(LOOP_KINDS, (opa_probe_crossover_hz, probe_lo_crossover_hz)):
         fast = TransferFunction.low_pass(1e7, gain=flat_gain)
         slow = TransferFunction.low_pass(100.0, gain=flat_gain / 2.0)
         delay = _solve_loop_delay(controller, fast, slow, crossover)
@@ -512,7 +499,6 @@ def default_lock_loops(
                 slow_plant=slow,
                 loop_delay=delay,
                 kind=kind,
-                label=label,
             )
         )
     return loops

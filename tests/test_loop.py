@@ -73,12 +73,11 @@ class TestTransferFunction:
         a = lp.TransferFunction.low_pass(2e6, gain=0.7)
         b = lp.TransferFunction((1.0, 2e-7), (1.0, 5e-8), delay=30e-9, gain=3.0)
         grid = lp.log_frequency_grid(1e2, 1e7, 100)
-        pa = lp.bode(a, grid)
-        pb = lp.bode(b, grid)
-        pab = lp.bode(series(a, b), grid)
-        for x, y, xy in zip(pa, pb, pab):
-            assert xy.gain_db == pytest.approx(x.gain_db + y.gain_db, abs=1e-9)
-            assert xy.phase_deg == pytest.approx(x.phase_deg + y.phase_deg, abs=1e-7)
+        gain_a, phase_a = lp.bode(a, grid)
+        gain_b, phase_b = lp.bode(b, grid)
+        gain_ab, phase_ab = lp.bode(series(a, b), grid)
+        assert gain_ab == pytest.approx(gain_a + gain_b, abs=1e-9)
+        assert phase_ab == pytest.approx(phase_a + phase_b, abs=1e-7)
 
     def test_invalid_denominator(self):
         with pytest.raises(DomainError):
@@ -108,12 +107,12 @@ class TestPidController:
 
 class TestBode:
     def test_empty_frequency_list(self):
-        assert lp.bode(lp.TransferFunction.integrator(), []) == []
+        gain, phase = lp.bode(lp.TransferFunction.integrator(), [])
+        assert gain.size == phase.size == 0
 
     def test_phase_unwrap_is_continuous(self):
         loop = lp.default_lock_loops()[0]
-        pts = lp.bode(loop, lp.log_frequency_grid(1e3, 2e7, 200))
-        phases = np.array([p.phase_deg for p in pts])
+        _, phases = lp.bode(loop, lp.log_frequency_grid(1e3, 2e7, 200))
         assert np.all(np.abs(np.diff(phases)) < 180.0)
 
     def test_delay_crossover_frequencies(self):

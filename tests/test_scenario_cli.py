@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from opasim import fitting as ft
 from opasim.cli import run
 from opasim.detection import MAX_POINTS, Trace, trace_extrema
 from opasim.errors import ScenarioParseError, ScenarioValidationError
-from opasim.scenario import load_scenario, loads_scenario, serialize_scenario
+from opasim.scenario import _FORMAT, load_scenario, loads_scenario, serialize_scenario
 
 from conftest import SCENARIO_DIR
 
@@ -37,6 +39,59 @@ vbw = 1 kHz
 sweep_time = 0.1 s
 points = 500
 seed = 1
+"""
+
+# every key of the format, each set to a value other than its default
+EVERY_KEY = """
+[opa]
+pump_power = 1.2 W
+shg_efficiency = 6.5 per_watt
+waveguide_loss = 0.03 fraction
+
+[phase]
+jitter = 0.02 rad
+lock_mode = scanned
+scan_rate = 35 Hz
+
+[detection_loss]
+mode_mismatch = 2 percent
+photodiode = 1.5 percent
+
+[detector]
+shot_noise_level = -80 dBm
+clearance = 20 dB
+clearance_frequency = 9 MHz
+circuit_high_corner = 25 MHz
+circuit_slope = 30 dB_per_decade
+analyzer_floor_offset = -12 dB
+
+[analyzer]
+center_frequency = 9 MHz
+span = 0 Hz
+rbw = 300 kHz
+vbw = 30 kHz
+sweep_time = 50 ms
+points = 401
+seed = 3
+
+[lock_loops]
+opa_probe_crossover = 5 MHz
+probe_lo_crossover = 2.5 MHz
+min_gain_margin = 8 dB
+min_phase_margin = 40 deg
+shift_candidates = 300 kHz, 0.6 MHz, 1.2 MHz
+
+[frequency_sweep]
+start = 1 MHz
+stop = 40 MHz
+points = 51
+
+[fit_bounds]
+eta_min = 60 percent
+eta_max = 0.98 fraction
+alpha_min = 200 percent_per_watt
+alpha_max = 15 per_watt
+jitter_max = 4 deg
 """
 
 
@@ -126,6 +181,29 @@ class TestLoadScenario:
         for bundle in (locked_bundle, scanned_bundle):
             assert loads_scenario(serialize_scenario(bundle)) == bundle
 
+    def test_serialize_round_trip_of_every_key(self):
+        bundle = loads_scenario(EVERY_KEY)
+        for section, keys in _FORMAT.items():
+            for key, (_, default, value) in (keys or {}).items():
+                assert value(bundle) != default, f"{section}.{key} is at its default"
+        text = serialize_scenario(bundle)
+        assert loads_scenario(text) == bundle
+        parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+        parser.optionxform = str
+        parser.read_string(text)
+        assert parser.sections() == list(_FORMAT)
+        for section, keys in _FORMAT.items():
+            want = ["mode_mismatch", "photodiode"] if keys is None else list(keys)
+            assert list(parser[section]) == want, section
+
+    def test_unknown_key_and_bad_value_reported_together(self):
+        bad = MINIMAL.replace("660 mW", "660 MHz") + "\n[lock_loops]\ncolour = 3 percent\n"
+        with pytest.raises(ScenarioValidationError) as err:
+            loads_scenario(bad)
+        violations = err.value.violations
+        assert any(v.startswith("opa.pump_power: unit") for v in violations), violations
+        assert any(v.startswith("lock_loops.colour: unknown key") for v in violations), violations
+
 
 def run_cli(*argv):
     return run(list(argv))
@@ -204,11 +282,36 @@ class TestCli:
     def test_huge_data_row_count_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
         csv.write_text("pump_w,squeezing_db,antisqueezing_db\n" + "0.1,-3,5\n0.2,-5,8\n" * (MAX_POINTS // 2 + 1))
-        assert run_cli(
-            "fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet"
-        ) == 2
+        tracemalloc.start()
+        try:
+            code = run_cli("fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
         err = capsys.readouterr().err
         assert str(csv) in err and str(MAX_POINTS) in err
+        # the rows are counted a line at a time, not read into memory at once
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "[lock_loops]\nmin_gain_margin = 7 dB\n",
+            "[frequency_sweep]\nstop = 40 MHz\n",
+            "[fit_bounds]\neta_min = 40 percent\n",
+        ],
+        ids=["lock_loops", "frequency_sweep", "fit_bounds"],
+    )
+    def test_digest_covers_every_section(self, tmp_path, extra):
+        digests = []
+        for name, text in (("base", MINIMAL), ("changed", MINIMAL + "\n" + extra)):
+            scn = tmp_path / f"{name}.scenario"
+            scn.write_text(text)
+            out = tmp_path / name
+            assert run_cli("margins", str(scn), "--out-dir", str(out), "--quiet") == 0
+            digests.append(json.loads((out / "margins_report.json").read_text())["scenario_digest"])
+        assert digests[0] != digests[1]
 
     def test_fit_without_data_is_validation_error(self, tmp_path):
         assert run_cli("fit", self.SCN, "--out-dir", str(tmp_path), "--quiet") == 2
@@ -287,7 +390,7 @@ class TestCli:
         axis, values = np.loadtxt(
             tmp_path / "zero_span.csv", delimiter=",", skiprows=2, unpack=True
         )
-        top, bottom = trace_extrema(Trace(axis=axis, values_dbm=values, axis_kind="time"))
+        top, bottom = trace_extrema(Trace(axis=axis, values_dbm=values))
         shot = load_scenario(scn).scenario.detector.shot_noise_dbm
         assert r["trace_max_db"] == pytest.approx(top - shot, abs=1e-6)
         assert r["trace_min_db"] == pytest.approx(bottom - shot, abs=1e-6)
