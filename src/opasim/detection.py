@@ -295,24 +295,18 @@ def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -
     )
 
 
-def trace_extrema(trace: Trace, window: int = 9) -> tuple[float, float]:
+def trace_extrema(trace: Trace) -> tuple[float, float]:
     """(max_dbm, min_dbm) envelope estimate of a scanned trace.
 
     The upper envelope is broad in the scan angle, so many displayed points
     sit near it and the raw maximum rides the upper tail of the averaging
-    noise; a short moving average in linear power removes that selection
+    noise; a 9-point moving average in linear power removes that selection
     bias.  The lower envelope is sharp (anti-squeezed power grows
     quadratically off the null), so smoothing would blend it away and the
     raw minimum is the better estimator there.
     """
-    if window < 1:
-        raise DomainError("window must be >= 1")
     lin = 10.0 ** (trace.values_dbm / 10.0)
-    if window > 1:
-        kernel = np.full(window, 1.0 / window)
-        smoothed = np.convolve(lin, kernel, mode="valid")
-    else:
-        smoothed = lin
+    smoothed = np.convolve(lin, np.full(9, 1.0 / 9), mode="valid")
     return float(10.0 * np.log10(smoothed.max())), float(10.0 * np.log10(lin.min()))
 
 

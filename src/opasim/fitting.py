@@ -291,15 +291,15 @@ def grid_search_optimal_pump(
     alpha: float,
     theta_rad: float,
     p_max: float = 2.0,
-    step: float = 1e-4,
 ) -> float:
     """Brute-force oracle for the optimal pump power: coarse 0.1-mW grid
     over (0, p_max], refined on a fine grid over the two cells around the
-    coarse minimum to step * 5e-4.  The squeezed variance is searched in
+    coarse minimum to 5e-8 W.  The squeezed variance is searched in
     linear units, which share their argmin with the dB levels."""
     if theta_rad <= 0:
         raise UnboundedOptimumError("grid search needs theta > 0")
     s = nz.sin2(theta_rad)
+    step = 1e-4
     grid = np.arange(step, p_max + step / 2, step)
     i = int(np.argmin(_mixed_pair(grid, eta, alpha, s)[0]))
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)

@@ -1,17 +1,17 @@
 """LTI modeling of the two homodyne phase locks.
 
-Open loop = PID controller x (fast actuator path + slow actuator path)
-x pure delay.  The published constraints on the real loops are only the
--180 deg crossover frequencies (about 4 MHz for the squeezer/probe lock and
-2 MHz for the probe/LO lock) and a flat gain below 1 MHz, so the default
-plants are first-order low-passes whose delay is solved to place the
-crossover exactly.
+Open loop = PI controller x (fast actuator path + slow actuator path)
+x loop transport delay.  The published constraints on the real loops are
+only the -180 deg crossover frequencies (about 4 MHz for the squeezer/probe
+lock and 2 MHz for the probe/LO lock) and a flat gain below 1 MHz, so the
+default plants are first-order low-passes whose delay is solved to place
+the crossover exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,39 +45,26 @@ LOOP_KINDS = ("opa_probe", "probe_lo")
 
 @dataclass(frozen=True)
 class TransferFunction:
-    """Rational transfer function in s (coefficients in ascending powers)
-    with an optional pure delay and scalar gain."""
+    """Rational transfer function in s (coefficients in ascending powers)."""
 
     num: tuple[float, ...]
     den: tuple[float, ...]
-    delay: float = 0.0
-    gain: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "num", tuple(float(c) for c in self.num))
         object.__setattr__(self, "den", tuple(float(c) for c in self.den))
         if not self.den or self.den[-1] == 0.0:
             raise DomainError("denominator needs a nonzero leading coefficient")
-        if self.delay < 0:
-            raise DomainError(f"delay must be >= 0, got {self.delay}")
 
     @classmethod
     def flat(cls, gain: float = 1.0) -> "TransferFunction":
-        return cls(num=(1.0,), den=(1.0,), gain=gain)
+        return cls(num=(gain,), den=(1.0,))
 
     @classmethod
     def low_pass(cls, corner_hz: float, gain: float = 1.0) -> "TransferFunction":
         if corner_hz <= 0:
             raise DomainError(f"corner must be > 0 Hz, got {corner_hz}")
-        return cls(num=(1.0,), den=(1.0, 1.0 / (2.0 * math.pi * corner_hz)), gain=gain)
-
-    @classmethod
-    def integrator(cls, gain: float = 1.0) -> "TransferFunction":
-        return cls(num=(1.0,), den=(0.0, 1.0), gain=gain)
-
-    @classmethod
-    def pure_delay(cls, delay_s: float, gain: float = 1.0) -> "TransferFunction":
-        return cls(num=(1.0,), den=(1.0,), delay=delay_s, gain=gain)
+        return cls(num=(gain,), den=(1.0, 1.0 / (2.0 * math.pi * corner_hz)))
 
     def response(self, f) -> np.ndarray:
         """Complex response at s = i 2 pi f (f in Hz, scalar or array)."""
@@ -89,8 +76,7 @@ class TransferFunction:
         den = _horner(self.den, s)
         if (den == 0).any():
             raise SingularityError("denominator vanishes on the evaluation grid")
-        h = self.gain * num / den
-        return h * np.exp(-s * self.delay) if self.delay else h
+        return num / den
 
 
 def _horner(coeffs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
@@ -103,28 +89,20 @@ def _horner(coeffs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PidController:
+    """Proportional-integral controller kp + ki/s."""
+
     kp: float = 0.0
     ki: float = 0.0  # gain on 1/s, i.e. rad/s scale
-    kd: float = 0.0  # gain on s, with a first-order derivative filter
-    derivative_corner_hz: float = 1e6
 
     def __post_init__(self):
-        if self.kp == 0.0 and self.ki == 0.0 and self.kd == 0.0:
-            raise DomainError("at least one PID gain must be nonzero")
-        if self.kd != 0.0 and self.derivative_corner_hz <= 0:
-            raise DomainError("derivative corner must be > 0 Hz when kd != 0")
+        if self.kp == 0.0 and self.ki == 0.0:
+            raise DomainError("at least one PI gain must be nonzero")
 
     def transfer_function(self) -> TransferFunction:
-        if self.kd == 0.0:
-            if self.ki == 0.0:
-                return TransferFunction(num=(self.kp,), den=(1.0,))
-            # (ki + kp s) / s
-            return TransferFunction(num=(self.ki, self.kp), den=(0.0, 1.0))
-        c = 1.0 / (2.0 * math.pi * self.derivative_corner_hz)
-        # kp + ki/s + kd s/(1 + c s) over common denominator s (1 + c s)
-        num = (self.ki, self.kp + self.ki * c, self.kp * c + self.kd)
-        den = (0.0, 1.0, c)
-        return TransferFunction(num=num, den=den)
+        if self.ki == 0.0:
+            return TransferFunction(num=(self.kp,), den=(1.0,))
+        # (ki + kp s) / s
+        return TransferFunction(num=(self.ki, self.kp), den=(0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -171,8 +149,8 @@ class StabilityMargins:
 
 
 def log_frequency_grid(f_min: float = 1e3, f_max: float = 2e7, points_per_decade: int = 200) -> np.ndarray:
-    if f_min <= 0 or f_max <= f_min:
-        raise DomainError("need 0 < f_min < f_max")
+    if not 0 < f_min < f_max < math.inf:
+        raise DomainError(f"need 0 < f_min < f_max < inf, got {f_min!r}, {f_max!r}")
     n = max(2, int(round(points_per_decade * math.log10(f_max / f_min))) + 1)
     return np.logspace(math.log10(f_min), math.log10(f_max), n)
 
@@ -219,18 +197,14 @@ def _crossing_index(target: np.ndarray) -> int:
     return 2 * int(j) + 1
 
 
-def stability_margins(
-    loop,
-    f_min: float = 1.0,
-    f_max: float = 2e7,
-    points_per_decade: int = 200,
-) -> StabilityMargins:
+def stability_margins(loop) -> StabilityMargins:
     """Phase crossover (lowest f where unwrapped phase hits -180 deg) with
     its gain margin, and the first downward unity-gain crossing with its
-    phase margin.  Each crossover is refined to 1e-3 relative by one
-    response call on a log grid across its bracketing grid cell, which
-    also gives the response at the crossover."""
-    grid = log_frequency_grid(f_min, f_max, points_per_decade)
+    phase margin, searched from 1 Hz to 20 MHz at 200 points/decade.  Each
+    crossover is refined to 1e-3 relative by one response call on a log
+    grid across its bracketing grid cell, which also gives the response at
+    the crossover."""
+    grid = log_frequency_grid(1.0, 2e7, 200)
     h = loop.response(grid)
     mag = np.abs(h)
     phase = np.degrees(np.unwrap(np.angle(h)))
@@ -284,11 +258,11 @@ def select_shift_frequency(
     min_gain_margin_db: float = 6.0,
     min_phase_margin_deg: float = 30.0,
     flat_band_db: float = 3.0,
-    flat_reference_hz: float = 1e4,
 ) -> float:
     """Largest candidate AOM shift for which every lock's beat frequency sits
-    in the flat-gain region and keeps both margins.  Higher is preferred so
-    the locks can be driven as fast as the loops allow without oscillating."""
+    in the flat-gain region (within flat_band_db of the gain at 10 kHz) and
+    keeps both margins.  Higher is preferred so the locks can be driven as
+    fast as the loops allow without oscillating."""
     if min_gain_margin_db < 0 or min_phase_margin_deg < 0:
         raise DomainError("margins must be >= 0")
     cands = sorted(candidates)
@@ -298,7 +272,7 @@ def select_shift_frequency(
     if bad:
         raise DomainError(f"candidate shifts must be > 0 Hz, got {bad}")
 
-    grid = log_frequency_grid(min(flat_reference_hz, 1e3), 2e7)
+    grid = log_frequency_grid(1e3, 2e7)
     shifts = np.array(cands)
     accepted = np.ones(shifts.size, dtype=bool)
     for loop in loops:
@@ -307,7 +281,7 @@ def select_shift_frequency(
             m.phase_margin_deg is None or m.phase_margin_deg >= min_phase_margin_deg
         )
         beat = shifts * demod_frequency(1.0, loop.kind)  # linear in the shift
-        ref = np.abs(loop.response(flat_reference_hz))
+        ref = np.abs(loop.response(1e4))  # the flat-band reference, 10 kHz
         with np.errstate(divide="ignore"):
             flat_db = 20.0 * np.log10(np.abs(loop.response(beat)) / ref)
         # phase distance from -180 deg at the beat frequency
@@ -477,20 +451,19 @@ def _solve_loop_delay(controller, fast, slow, target_crossover_hz: float) -> flo
 def default_lock_loops(
     opa_probe_crossover_hz: float = 4.0e6,
     probe_lo_crossover_hz: float = 2.0e6,
-    flat_gain: float = 0.1,
 ) -> list[LoopModel]:
     """Calibrated default models of the two locks.
 
-    Fast path: first-order low-pass, 10 MHz corner.  Slow path: low-gain
-    100 Hz low-pass (long-range actuator, irrelevant above audio).  The
-    loop delay is solved so each -180 deg crossover lands on its measured
-    frequency.
+    Fast path: first-order low-pass, 10 MHz corner, flat gain 0.1.  Slow
+    path: 100 Hz low-pass at gain 0.05 (long-range actuator, irrelevant
+    above audio).  The loop delay is solved so each -180 deg crossover
+    lands on its measured frequency.
     """
     controller = PidController(kp=1.0, ki=2.0 * math.pi * 100.0)
     loops = []
     for kind, crossover in zip(LOOP_KINDS, (opa_probe_crossover_hz, probe_lo_crossover_hz)):
-        fast = TransferFunction.low_pass(1e7, gain=flat_gain)
-        slow = TransferFunction.low_pass(100.0, gain=flat_gain / 2.0)
+        fast = TransferFunction.low_pass(1e7, gain=0.1)
+        slow = TransferFunction.low_pass(100.0, gain=0.05)
         delay = _solve_loop_delay(controller, fast, slow, crossover)
         loops.append(
             LoopModel(

@@ -20,6 +20,7 @@ Dataclasses only validate their invariants.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
+_MAX_GAIN = math.log(sys.float_info.max)  # largest 2 sqrt(alpha P) whose exp is finite
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -69,6 +71,11 @@ class OpaParams:
             raise DomainError(f"pump_power must be >= 0, got {self.pump_power}")
         if not 0.0 <= self.transmittance <= 1.0:
             raise DomainError(f"transmittance must be in [0, 1], got {self.transmittance}")
+        if 2.0 * math.sqrt(self.shg_efficiency * self.pump_power) > _MAX_GAIN:
+            raise DomainError(
+                f"parametric gain 2 sqrt(alpha P) must be <= {_MAX_GAIN:.1f}, got "
+                f"alpha {self.shg_efficiency} /W at P {self.pump_power} W"
+            )
 
 
 @dataclass(frozen=True)

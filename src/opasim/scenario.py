@@ -166,20 +166,27 @@ def _parse_value(text: str, kind, path: str, errors: list[str]):
             f"allowed: {', '.join(_UNITS[kind])}"
         )
         return None
-    return value * scale
+    value *= scale
+    if not math.isfinite(value):
+        errors.append(f"{path}: not a finite value: {text!r}")
+        return None
+    return value
 
 
 def _format_value(value, kind) -> str:
     """``value`` as scenario-file text, quantities in their scale-1 unit."""
-    if isinstance(kind, tuple) or kind == "int":
+    if isinstance(kind, tuple):
         return str(value)
+    if kind == "int":
+        return str(int(value))
     if kind == "frequency_list":
         return ", ".join(_format_value(v, "frequency") for v in value)
-    return f"{value!r} {next(iter(_UNITS[kind]))}"
+    return f"{float(value)!r} {next(iter(_UNITS[kind]))}"
 
 
 def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    # no header can be empty, so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="")
     parser.optionxform = str
     try:
         parser.read_string(text, source=name)

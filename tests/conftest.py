@@ -28,5 +28,4 @@ def series(a, b):
     def polymul(p, q):
         return tuple(np.polymul(p[::-1], q[::-1])[::-1])
 
-    return TransferFunction(polymul(a.num, b.num), polymul(a.den, b.den),
-                            delay=a.delay + b.delay, gain=a.gain * b.gain)
+    return TransferFunction(polymul(a.num, b.num), polymul(a.den, b.den))

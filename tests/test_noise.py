@@ -34,11 +34,16 @@ class TestOpaOutputVariances:
 
     @pytest.mark.parametrize(
         "alpha,pump,eta",
-        [(-1.0, 0.5, 0.9), (8.2, -0.1, 0.9), (8.2, 0.5, 1.2), (8.2, 0.5, -0.1)],
+        # the last: 2 sqrt(alpha P) ~ 810 > ln(float max) ~ 709.8, where exp overflows
+        [(-1.0, 0.5, 0.9), (8.2, -0.1, 0.9), (8.2, 0.5, 1.2), (8.2, 0.5, -0.1), (8.2, 2e4, 0.9)],
     )
     def test_invalid_params_rejected(self, alpha, pump, eta):
         with pytest.raises(DomainError):
             nz.OpaParams(alpha, pump, eta)
+
+    def test_gain_below_bound_stays_finite(self):
+        q = nz.opa_output_variances(nz.OpaParams(8.2, 350.0**2 / 8.2, 0.9))
+        assert math.isfinite(q.anti) and q.sq > 0
 
     def test_squeezing_monotone_in_pump_and_transmittance(self):
         pumps = np.linspace(0.01, 1.5, 40)

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -195,6 +196,20 @@ class TestLoadScenario:
         for section, keys in _FORMAT.items():
             want = ["mode_mismatch", "photodiode"] if keys is None else list(keys)
             assert list(parser[section]) == want, section
+
+    def test_serialize_numpy_scalars_as_plain_numbers(self, locked_bundle):
+        plain = dataclasses.replace(locked_bundle, sweep_f_min_hz=2e6, sweep_points=51)
+        numpy = dataclasses.replace(
+            locked_bundle, sweep_f_min_hz=np.float64(2e6), sweep_points=np.int64(51)
+        )
+        text = serialize_scenario(numpy)
+        assert text == serialize_scenario(plain)
+        assert loads_scenario(text) == plain
+
+    def test_default_section_reported_by_name(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            loads_scenario("[DEFAULT]\nfoo = 3 percent\n" + MINIMAL)
+        assert err.value.violations == ["DEFAULT: unknown section"]
 
     def test_unknown_key_and_bad_value_reported_together(self):
         bad = MINIMAL.replace("660 mW", "660 MHz") + "\n[lock_loops]\ncolour = 3 percent\n"
@@ -434,6 +449,26 @@ class TestCli:
         )
         assert run_cli("simulate", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
         assert "analyzer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "crossover", ["inf MHz", "nan MHz", "1e308 GHz"], ids=["inf", "nan", "overflow"]
+    )
+    def test_non_finite_crossover_is_validation_error(self, tmp_path, capsys, crossover):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL + f"\n[lock_loops]\nopa_probe_crossover = {crossover}\n")
+        assert run_cli("budget", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "lock_loops.opa_probe_crossover" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["report", "simulate", "sweep"])
+    def test_parametric_gain_overflow_is_validation_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL.replace("660 mW", "2e7 mW"))
+        assert run_cli(command, str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "opa" in err
+        assert "Traceback" not in err
 
     def test_csv_report_format(self, tmp_path, capsys):
         assert run_cli(
