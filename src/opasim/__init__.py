@@ -40,7 +40,6 @@ from .detection import (  # noqa: F401
     DetectorModel,
     Scenario,
     Trace,
-    default_detector_model,
     measured_noise_ratio,
     select_measurement_frequency,
     simulate_zero_span,

@@ -12,7 +12,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import DomainError
 from . import noise as nz
 
 __all__ = [
-    "CircuitNoise",
     "DetectorModel",
     "AnalyzerSettings",
     "Scenario",
@@ -30,7 +29,6 @@ __all__ = [
     "simulate_zero_span",
     "sweep_frequency",
     "select_measurement_frequency",
-    "default_detector_model",
     "MAX_POINTS",
     "check_points",
 ]
@@ -45,91 +43,63 @@ def check_points(points: int, minimum: int) -> None:
 
 
 @dataclass(frozen=True)
-class CircuitNoise:
-    """Detector electronic noise: flat floor with a second-order rise above
-    ``high_corner_hz`` and, when ``low_corner_hz`` > 0, a matching rise
-    toward low frequency (1/f electronics), giving a clearance peak between
-    the two corners."""
+class DetectorModel:
+    """Homodyne detector noise levels, held as the ``[detector]`` section
+    gives them.  Circuit noise has a flat floor with matching rises above
+    ``high_corner_hz`` and below the low corner f_peak^2 / f_hi (1/f
+    electronics), so the shot/circuit clearance peaks at
+    ``peak_frequency_hz`` with the value ``peak_clearance_db``.  The
+    analyzer floor sits ``analyzer_floor_offset_db`` from the circuit floor."""
 
-    floor_dbm: float
+    shot_noise_dbm: float = -83.0
+    peak_clearance_db: float = 25.0
+    peak_frequency_hz: float = 11e6
     high_corner_hz: float = 30e6
     slope_db_per_decade: float = 20.0
-    low_corner_hz: float = 0.0
+    analyzer_floor_offset_db: float = -10.0
 
     def __post_init__(self):
+        for field in fields(self):
+            nz._check_finite(field.name, getattr(self, field.name))
+        if self.peak_frequency_hz <= 0:
+            raise DomainError("peak_frequency_hz must be > 0")
         if self.high_corner_hz <= 0:
             raise DomainError("high_corner_hz must be > 0")
-        if self.low_corner_hz < 0:
-            raise DomainError("low_corner_hz must be >= 0")
         if self.slope_db_per_decade <= 0:
             raise DomainError("slope must be > 0 dB/decade")
+        if self.peak_clearance_db <= 0:
+            raise DomainError("circuit noise is not below shot noise at the peak frequency")
+        # the low corner and the circuit floor are derived once, as plain
+        # attributes; the minimum of (f_lo/f)^n + (f/f_hi)^n sits at sqrt(f_lo f_hi)
+        try:
+            f_lo = self.peak_frequency_hz**2 / self.high_corner_hz
+        except OverflowError:
+            f_lo = math.inf
+        object.__setattr__(self, "_f_lo", f_lo)
+        # over a 0 dBm floor the level is the shape alone
+        object.__setattr__(self, "_floor_dbm", 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shape_at_peak = float(self.circuit_level_dbm(self.peak_frequency_hz))
+        floor = self.shot_noise_dbm - self.peak_clearance_db - shape_at_peak
+        nz._check_finite("circuit-noise floor", floor)
+        object.__setattr__(self, "_floor_dbm", floor)
 
-    def level_dbm(self, f) -> np.ndarray:
+    @property
+    def analyzer_floor_dbm(self) -> float:
+        return self._floor_dbm + self.analyzer_floor_offset_db
+
+    def circuit_level_dbm(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         n = self.slope_db_per_decade / 10.0
-        shape = 1.0 + (f / self.high_corner_hz) ** n
-        if self.low_corner_hz > 0:
-            shape = shape + (self.low_corner_hz / f) ** n
-        return self.floor_dbm + 10.0 * np.log10(shape)
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    shot_noise_dbm: float
-    circuit: CircuitNoise
-    analyzer_floor_dbm: float
-    design_frequency_hz: float = 11e6
-
-    def __post_init__(self):
-        if float(self.circuit.level_dbm(self.design_frequency_hz)) >= self.shot_noise_dbm:
-            raise DomainError(
-                "circuit noise is not below shot noise at the design frequency"
-            )
+        shape = 1.0 + (f / self.high_corner_hz) ** n + (self._f_lo / f) ** n
+        return self._floor_dbm + 10.0 * np.log10(shape)
 
     def clearance_db(self, f) -> np.ndarray:
-        return self.shot_noise_dbm - self.circuit.level_dbm(f)
+        return self.shot_noise_dbm - self.circuit_level_dbm(f)
 
     def circuit_ratio(self, f) -> np.ndarray:
         """Circuit noise as a linear power ratio relative to shot noise."""
-        return 10.0 ** ((self.circuit.level_dbm(f) - self.shot_noise_dbm) / 10.0)
-
-
-def default_detector_model(
-    shot_noise_dbm: float = -83.0,
-    clearance_db: float = 25.0,
-    clearance_frequency_hz: float = 11e6,
-    high_corner_hz: float = 30e6,
-    low_corner_hz: float | None = None,
-    slope_db_per_decade: float = 20.0,
-    analyzer_floor_offset_db: float = -10.0,
-) -> DetectorModel:
-    """Detector with the circuit-noise floor calibrated so the shot/circuit
-    clearance peaks at the requested frequency with the requested value.
-    The low corner defaults to the value that places the clearance maximum
-    exactly at ``clearance_frequency_hz``."""
-    if low_corner_hz is None:
-        # minimum of (f_lo/f)^n + (f/f_hi)^n sits at sqrt(f_lo f_hi)
-        low_corner_hz = clearance_frequency_hz**2 / high_corner_hz
-    probe = CircuitNoise(
-        floor_dbm=0.0,
-        high_corner_hz=high_corner_hz,
-        slope_db_per_decade=slope_db_per_decade,
-        low_corner_hz=low_corner_hz,
-    )
-    shape_at_peak = float(probe.level_dbm(clearance_frequency_hz))
-    floor = shot_noise_dbm - clearance_db - shape_at_peak
-    circuit = CircuitNoise(
-        floor_dbm=floor,
-        high_corner_hz=high_corner_hz,
-        slope_db_per_decade=slope_db_per_decade,
-        low_corner_hz=low_corner_hz,
-    )
-    return DetectorModel(
-        shot_noise_dbm=shot_noise_dbm,
-        circuit=circuit,
-        analyzer_floor_dbm=floor + analyzer_floor_offset_db,
-        design_frequency_hz=clearance_frequency_hz,
-    )
+        return 10.0 ** ((self.circuit_level_dbm(f) - self.shot_noise_dbm) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -290,7 +260,7 @@ def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -
         frequencies_hz=f,
         squeezed=trace(sq_dbm, "squeezed"),
         shot=trace(np.full(points, s.detector.shot_noise_dbm), "shot"),
-        circuit=trace(np.asarray(s.detector.circuit.level_dbm(f), dtype=float), "circuit"),
+        circuit=trace(np.asarray(s.detector.circuit_level_dbm(f), dtype=float), "circuit"),
         floor=trace(np.full(points, s.detector.analyzer_floor_dbm), "analyzer_floor"),
     )
 

@@ -220,6 +220,11 @@ def fit_pump_sweep(
     powers = np.array([d.pump_power_w for d in data])
     if np.unique(powers).size < 2:
         raise DomainError("sweep points must span at least 2 distinct pump powers")
+    # every iterate has alpha <= alpha_max, so this bounds every exp the fit takes
+    p_max = float(powers.max())
+    if not 2.0 * math.sqrt(bounds.alpha_max * p_max) <= nz._MAX_GAIN:
+        raise DomainError(f"parametric gain 2 sqrt(alpha P) must be <= {nz._MAX_GAIN:.1f}, got "
+                          f"alpha_max {bounds.alpha_max} /W at P {p_max} W")
     sq = np.array([d.squeezing_db for d in data])
     anti = np.array([d.anti_squeezing_db for d in data])
 

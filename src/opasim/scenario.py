@@ -12,18 +12,23 @@ loaded bundle.  ``loads_scenario`` validates and parses by it, and
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from dataclasses import dataclass
 
 from .errors import ScenarioParseError, ScenarioValidationError, DomainError
 from . import noise as nz
 from .detection import (
-    MAX_POINTS, AnalyzerSettings, DetectorModel, Scenario, check_points, default_detector_model,
+    MAX_POINTS, AnalyzerSettings, DetectorModel, Scenario, check_points,
 )
 from .fitting import FitBounds
 from .loop import LoopModel, default_lock_loops
 
 __all__ = ["ScenarioBundle", "load_scenario", "loads_scenario", "serialize_scenario"]
+
+# Largest scenario file load_scenario reads.  MAX_POINTS shift candidates of
+# the longest float text ("-2.2250738585072014e-308 Hz, ") take 29 MB.
+MAX_SCENARIO_BYTES = 32 * 2**20
 
 # unit kind -> unit -> scale; the first unit of each kind is its scale-1 unit
 _UNITS = {
@@ -59,10 +64,6 @@ class ScenarioBundle:
 _NO_DEFAULT = object()  # marks a key that every scenario file must give
 
 
-def _det(b: ScenarioBundle) -> DetectorModel:
-    return b.scenario.detector
-
-
 # section -> key -> (kind, default or _NO_DEFAULT, value in a bundle).  A kind
 # is a key of _UNITS, "int", "frequency_list" or a tuple of choices; values
 # are in the kind's scale-1 unit.  A section with a key that has no default
@@ -80,15 +81,12 @@ _FORMAT = {
     },
     "detection_loss": None,
     "detector": {
-        "shot_noise_level": ("dbm", -83.0, lambda b: _det(b).shot_noise_dbm),
-        # the clearance calibration is recovered from the detector model
-        "clearance": ("db", 25.0, lambda b: float(_det(b).clearance_db(_det(b).design_frequency_hz))),
-        "clearance_frequency": ("frequency", 11e6, lambda b: _det(b).design_frequency_hz),
-        "circuit_high_corner": ("frequency", 30e6, lambda b: _det(b).circuit.high_corner_hz),
-        "circuit_slope": ("slope", 20.0, lambda b: _det(b).circuit.slope_db_per_decade),
-        "analyzer_floor_offset": (
-            "db", -10.0, lambda b: _det(b).analyzer_floor_dbm - _det(b).circuit.floor_dbm
-        ),
+        "shot_noise_level": ("dbm", -83.0, lambda b: b.scenario.detector.shot_noise_dbm),
+        "clearance": ("db", 25.0, lambda b: b.scenario.detector.peak_clearance_db),
+        "clearance_frequency": ("frequency", 11e6, lambda b: b.scenario.detector.peak_frequency_hz),
+        "circuit_high_corner": ("frequency", 30e6, lambda b: b.scenario.detector.high_corner_hz),
+        "circuit_slope": ("slope", 20.0, lambda b: b.scenario.detector.slope_db_per_decade),
+        "analyzer_floor_offset": ("db", -10.0, lambda b: b.scenario.detector.analyzer_floor_offset_db),
     },
     "analyzer": {
         "center_frequency": ("frequency", _NO_DEFAULT, lambda b: b.scenario.analyzer.center_frequency_hz),
@@ -144,12 +142,12 @@ def _parse_value(text: str, kind, path: str, errors: list[str]):
             errors.append(f"{path}: expected an integer, got {text!r}")
             return None
     if kind == "frequency_list":
-        items = text.split(",")
-        if len(items) > MAX_POINTS:
-            errors.append(f"{path}: at most {MAX_POINTS} candidates, got {len(items)}")
+        count = text.count(",") + 1  # counted before any item is built
+        if count > MAX_POINTS:
+            errors.append(f"{path}: at most {MAX_POINTS} candidates, got {count}")
             return None
         return tuple(_parse_value(item.strip(), "frequency", f"{path}[{i}]", errors)
-                     for i, item in enumerate(items))
+                     for i, item in enumerate(text.split(",")))
     parts = text.split()
     if len(parts) != 2:
         errors.append(f"{path}: expected '<number> <unit>', got {text!r}")
@@ -246,10 +244,10 @@ def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
         for label, loss in values["detection_loss"].items()
     ))
     detector = build(
-        "detector", default_detector_model,
+        "detector", DetectorModel,
         shot_noise_dbm=det["shot_noise_level"],
-        clearance_db=det["clearance"],
-        clearance_frequency_hz=det["clearance_frequency"],
+        peak_clearance_db=det["clearance"],
+        peak_frequency_hz=det["clearance_frequency"],
         high_corner_hz=det["circuit_high_corner"],
         slope_db_per_decade=det["circuit_slope"],
         analyzer_floor_offset_db=det["analyzer_floor_offset"],
@@ -289,11 +287,26 @@ def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
 
 
 def load_scenario(path) -> ScenarioBundle:
+    """Load a UTF-8 scenario file of at most MAX_SCENARIO_BYTES bytes.  It is
+    read in chunks, never more than one byte past the cap, so a larger file
+    costs memory in proportion to the cap, not to its size."""
+    chunks, size = [], 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            while size <= MAX_SCENARIO_BYTES and (
+                chunk := fh.read(min(2**16, MAX_SCENARIO_BYTES + 1 - size))
+            ):
+                chunks.append(chunk)
+                size += len(chunk)
     except OSError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
+    if size > MAX_SCENARIO_BYTES:
+        raise ScenarioParseError(f"{path}: larger than {MAX_SCENARIO_BYTES} bytes")
+    try:
+        # decoded as text-mode open() would, universal newlines included
+        text = io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return loads_scenario(text, name=str(path))
 
 

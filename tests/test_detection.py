@@ -38,7 +38,7 @@ class TestAnalyzerSettings:
 
 class TestDetectorModel:
     def test_clearance_calibration(self):
-        d = det.default_detector_model()
+        d = det.DetectorModel()
         assert float(d.clearance_db(11e6)) == pytest.approx(25.0, abs=1e-9)
         # 11 MHz is the clearance maximum on the sweep grid
         f = np.linspace(2e6, 50e6, 97)
@@ -47,7 +47,42 @@ class TestDetectorModel:
 
     def test_circuit_must_clear_shot(self):
         with pytest.raises(DomainError):
-            det.default_detector_model(clearance_db=-3.0)
+            det.DetectorModel(peak_clearance_db=-3.0)
+
+    def test_levels_follow_the_closed_form(self):
+        d = det.DetectorModel(-70.0, 17.3, 9e6, 25e6, 30.0, -7.1)
+        f_lo = 9e6**2 / 25e6
+
+        def shape(f):
+            return 1.0 + (f / 25e6) ** 3.0 + (f_lo / f) ** 3.0
+
+        f = np.geomspace(1e5, 1e9, 41)
+        want = 17.3 - 10.0 * np.log10(shape(f) / shape(9e6))
+        assert np.allclose(d.clearance_db(f), want, rtol=0.0, atol=1e-9)
+        assert np.allclose(d.circuit_ratio(f), 10.0 ** (-want / 10.0), rtol=1e-12, atol=0.0)
+        floor = -70.0 - 17.3 - 10.0 * math.log10(shape(9e6))
+        assert d.analyzer_floor_dbm == pytest.approx(floor - 7.1, abs=1e-9)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(det.DetectorModel)])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            det.DetectorModel(**{field: value})
+
+    @pytest.mark.parametrize("f_peak", [0.0, -11e6], ids=["zero", "negative"])
+    def test_peak_frequency_must_be_positive(self, f_peak):
+        with pytest.raises(DomainError, match="peak_frequency_hz"):
+            det.DetectorModel(peak_frequency_hz=f_peak)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"peak_frequency_hz": 1e300}, {"peak_frequency_hz": 100e6, "slope_db_per_decade": 1e5}],
+        ids=["squared_peak", "steep_slope"],
+    )
+    def test_overflowing_circuit_floor_rejected(self, fields):
+        # no RuntimeWarning either: pytest turns warnings into errors
+        with pytest.raises(DomainError, match="circuit-noise floor"):
+            det.DetectorModel(**fields)
 
 
 class TestMeasuredNoiseRatio:
@@ -95,7 +130,7 @@ class TestZeroSpan:
 
     def test_shot_normalization(self, locked_bundle):
         s = locked_bundle.scenario
-        quiet_detector = det.default_detector_model(clearance_db=200.0)
+        quiet_detector = det.DetectorModel(peak_clearance_db=200.0)
         s_off = dataclasses.replace(
             s,
             opa=dataclasses.replace(s.opa, pump_power=0.0),
@@ -182,23 +217,24 @@ class TestFrequencySweep:
 
     def test_no_circuit_noise_gives_flat_trace(self, locked_bundle):
         s = locked_bundle.scenario
-        quiet = dataclasses.replace(s, detector=det.default_detector_model(clearance_db=300.0))
+        quiet = dataclasses.replace(s, detector=det.DetectorModel(peak_clearance_db=300.0))
         sweep = det.sweep_frequency(quiet, 2e6, 50e6, 30)
         assert float(np.ptp(sweep.squeezed.values_dbm)) < 1e-6
 
     def test_clearance_invariant_under_common_offset(self, locked_bundle):
         s = locked_bundle.scenario
         shifted = dataclasses.replace(
-            s, detector=det.default_detector_model(shot_noise_dbm=-73.0)
+            s, detector=det.DetectorModel(shot_noise_dbm=-73.0)
         )
         c1 = det.sweep_frequency(s, 2e6, 50e6, 30).clearance_db()
         c2 = det.sweep_frequency(shifted, 2e6, 50e6, 30).clearance_db()
         assert np.allclose(c1, c2, atol=1e-9)
 
     def test_tie_breaks_toward_lower_frequency(self, locked_bundle):
-        s = locked_bundle.scenario
-        flat = det.default_detector_model(high_corner_hz=1e15, low_corner_hz=0.0)
-        sweep = det.sweep_frequency(dataclasses.replace(s, detector=flat), 2e6, 50e6, 30)
+        f = np.linspace(2e6, 50e6, 30)
+        flat = det.Trace(axis=f, values_dbm=np.full(f.size, -108.0))
+        shot = det.Trace(axis=f, values_dbm=np.full(f.size, -83.0))
+        sweep = det.FrequencySweep(f, squeezed=shot, shot=shot, circuit=flat, floor=flat)
         assert det.select_measurement_frequency(sweep) == pytest.approx(2e6)
 
     def test_single_point_sweep(self, locked_bundle):

@@ -5,7 +5,7 @@ import pytest
 
 from opasim import fitting as ft
 from opasim import noise as nz
-from opasim.detection import default_detector_model
+from opasim.detection import DetectorModel
 from opasim.errors import DomainError, UnboundedOptimumError
 
 TRUE_ETA, TRUE_ALPHA, TRUE_THETA = 0.88, 8.2, math.radians(0.8)
@@ -63,6 +63,15 @@ class TestFitPumpSweep:
     def test_too_few_points_rejected(self):
         with pytest.raises(DomainError):
             ft.fit_pump_sweep(synthetic_data()[:2])
+
+    @pytest.mark.parametrize(
+        "pump_w, alpha_max", [(1e5, 20.0), (1e3, 200.0), (math.inf, 20.0)],
+        ids=["huge_pump", "wide_alpha_bound", "inf_pump"],
+    )
+    def test_overflowing_gain_rejected_before_fitting(self, pump_w, alpha_max):
+        data = synthetic_data()[:2] + [ft.PumpSweepPoint(pump_w, -5.0, 12.0)]
+        with pytest.raises(DomainError, match="parametric gain"):
+            ft.fit_pump_sweep(data, bounds=ft.FitBounds(alpha_max=alpha_max))
 
     def test_degenerate_powers_rejected(self):
         d = synthetic_data()
@@ -254,7 +263,7 @@ class TestLossBudgetReport:
         budget = nz.LossBudget(
             (nz.LossElement("detection", 0.08), nz.LossElement("waveguide", 0.04))
         )
-        rep = ft.loss_budget_report(budget, default_detector_model(), 11e6)
+        rep = ft.loss_budget_report(budget, DetectorModel(), 11e6)
         assert rep.circuit_equiv_loss == pytest.approx(0.0031623, abs=1e-6)
         assert rep.additive_total_loss == pytest.approx(0.123, abs=5e-4)
         assert rep.multiplicative_transmittance == pytest.approx(0.8804, abs=5e-4)

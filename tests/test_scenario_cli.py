@@ -12,12 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opasim import fitting as ft
 from opasim.cli import run
 from opasim.detection import MAX_POINTS, Trace, trace_extrema
 from opasim.errors import ScenarioParseError, ScenarioValidationError
-from opasim.scenario import _FORMAT, load_scenario, loads_scenario, serialize_scenario
+from opasim.scenario import (
+    _FORMAT, MAX_SCENARIO_BYTES, load_scenario, loads_scenario, serialize_scenario,
+)
 
 from conftest import SCENARIO_DIR
 
@@ -101,6 +105,78 @@ def huge_points(section):
     if section == "analyzer":
         return MINIMAL.replace("points = 500", "points = 1000000000000")
     return MINIMAL + "\n[frequency_sweep]\npoints = 1000000000000\n"
+
+
+@st.composite
+def scenario_texts(draw):
+    """(text, [detector] lines) of a random valid scenario.  The detector
+    values are written in their scale-1 units; the rest in any unit."""
+
+    def q(lo, hi, *units):
+        unit, scale = draw(st.sampled_from(units))
+        return f"{draw(st.floats(lo / scale, hi / scale))!r} {unit}"
+
+    hz = (("Hz", 1.0), ("kHz", 1e3), ("MHz", 1e6))
+    detector = [
+        f"shot_noise_level = {draw(st.floats(-120.0, -40.0))!r} dBm",
+        f"clearance = {draw(st.floats(0.1, 60.0))!r} dB",
+        f"clearance_frequency = {draw(st.floats(1e5, 1e8))!r} Hz",
+        f"circuit_high_corner = {draw(st.floats(1e6, 1e9))!r} Hz",
+        f"circuit_slope = {draw(st.floats(1.0, 60.0))!r} dB_per_decade",
+        f"analyzer_floor_offset = {draw(st.floats(-30.0, 30.0))!r} dB",
+    ]
+    losses = draw(st.dictionaries(
+        st.sampled_from(["mode_mismatch", "photodiode", "optics"]), st.floats(0.0, 0.5), max_size=3
+    ))
+    vbw = draw(st.floats(1.0, 1e6))
+    candidates = draw(st.lists(st.floats(1e4, 1e7), min_size=1, max_size=5))
+    loss_lines = "".join(f"{label} = {loss!r} fraction\n" for label, loss in losses.items())
+    detector_lines = "\n".join(detector)
+    text = f"""
+[opa]
+pump_power = {q(0.0, 2.0, ("W", 1.0), ("mW", 1e-3))}
+shg_efficiency = {q(0.5, 20.0, ("per_watt", 1.0), ("percent_per_watt", 1e-2))}
+waveguide_loss = {q(0.0, 0.3, ("fraction", 1.0), ("percent", 1e-2))}
+
+[phase]
+jitter = {q(0.0, 0.08, ("rad", 1.0), ("deg", math.pi / 180.0))}
+lock_mode = {draw(st.sampled_from(["locked", "scanned"]))}
+scan_rate = {q(1.0, 100.0, *hz)}
+
+[detection_loss]
+{loss_lines}
+[detector]
+{detector_lines}
+
+[analyzer]
+center_frequency = {q(1e5, 1e8, *hz)}
+span = {q(0.0, 1e7, *hz)}
+rbw = {vbw * draw(st.floats(1.0, 1e4))!r} Hz
+vbw = {vbw!r} Hz
+sweep_time = {q(1e-3, 10.0, ("s", 1.0), ("ms", 1e-3))}
+points = {draw(st.integers(2, 2000))}
+seed = {draw(st.integers(0, 2**32))}
+
+[lock_loops]
+opa_probe_crossover = {q(1.5e6, 6e6, *hz)}
+probe_lo_crossover = {q(1e6, 3e6, *hz)}
+min_gain_margin = {draw(st.floats(0.0, 20.0))!r} dB
+min_phase_margin = {draw(st.floats(0.0, 80.0))!r} deg
+shift_candidates = {", ".join(f"{c!r} Hz" for c in candidates)}
+
+[frequency_sweep]
+start = {q(1e5, 1e7, *hz)}
+stop = {q(2e7, 1e8, *hz)}
+points = {draw(st.integers(1, 500))}
+
+[fit_bounds]
+eta_min = {q(0.0, 0.5, ("fraction", 1.0), ("percent", 1e-2))}
+eta_max = {q(0.6, 1.0, ("fraction", 1.0), ("percent", 1e-2))}
+alpha_min = {q(0.1, 5.0, ("per_watt", 1.0), ("percent_per_watt", 1e-2))}
+alpha_max = {q(6.0, 50.0, ("per_watt", 1.0), ("percent_per_watt", 1e-2))}
+jitter_max = {q(0.002, 0.5, ("rad", 1.0), ("deg", math.pi / 180.0))}
+"""
+    return text, detector
 
 
 class TestLoadScenario:
@@ -196,6 +272,43 @@ class TestLoadScenario:
         for section, keys in _FORMAT.items():
             want = ["mode_mismatch", "photodiode"] if keys is None else list(keys)
             assert list(parser[section]) == want, section
+
+    @given(scenario_texts())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_serialize_round_trip_property(self, case):
+        text, detector = case
+        bundle = loads_scenario(text)
+        out = serialize_scenario(bundle)
+        assert loads_scenario(out) == bundle
+        assert serialize_scenario(loads_scenario(out)) == out
+        # the [detector] section is held, and so written, as given
+        assert out.split("[detector]\n")[1].split("\n\n")[0].splitlines() == detector
+
+    def test_detector_section_serialized_as_given(self):
+        text = MINIMAL + "\n[detector]\nclearance = 17.3 dB\nanalyzer_floor_offset = -7.1 dB\n"
+        out = serialize_scenario(loads_scenario(text)).splitlines()
+        assert "clearance = 17.3 dB" in out
+        assert "analyzer_floor_offset = -7.1 dB" in out
+
+    def test_byte_cap_holds_the_longest_candidate_list(self):
+        # no float is written in more characters than this one
+        longest = -2.2250738585072014e-308
+        bundle = dataclasses.replace(loads_scenario(EVERY_KEY), shift_candidates_hz=(longest,))
+        one = len(serialize_scenario(bundle).encode())
+        assert one + (MAX_POINTS - 1) * len(f", {longest!r} Hz") <= MAX_SCENARIO_BYTES
+
+    def test_any_line_ending_loads(self, tmp_path, locked_bundle):
+        text = (SCENARIO_DIR / "zero_span_locked.scenario").read_text()
+        for name, newline in (("crlf", "\r\n"), ("cr", "\r")):
+            scn = tmp_path / f"{name}.scenario"
+            scn.write_bytes(text.replace("\n", newline).encode())
+            assert load_scenario(scn) == locked_bundle, name
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        scn = tmp_path / "latin1.scenario"
+        scn.write_bytes(("# pump: 660 \u00b5W\n" + MINIMAL).encode("latin-1"))
+        with pytest.raises(ScenarioParseError, match="UTF-8"):
+            load_scenario(scn)
 
     def test_serialize_numpy_scalars_as_plain_numbers(self, locked_bundle):
         plain = dataclasses.replace(locked_bundle, sweep_f_min_hz=2e6, sweep_points=51)
@@ -308,6 +421,50 @@ class TestCli:
         assert str(csv) in err and str(MAX_POINTS) in err
         # the rows are counted a line at a time, not read into memory at once
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_file_over_byte_cap_exits_2(self, tmp_path, capsys):
+        scn = tmp_path / "huge.scenario"
+        with scn.open("wb") as fh:
+            fh.truncate(2**30)  # a sparse 1 GiB file of zero bytes
+        tracemalloc.start()
+        try:
+            code = run_cli("margins", str(scn), "--out-dir", str(tmp_path), "--quiet")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert str(MAX_SCENARIO_BYTES) in capsys.readouterr().err
+        # one byte past the cap is read, never the whole file
+        assert peak < 1.25 * MAX_SCENARIO_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_fit_gain_overflow_is_validation_error(self, tmp_path, capsys):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("pump_w,squeezing_db,antisqueezing_db\n0.1,-3,5\n0.2,-5,8\n1e5,-5,12\n")
+        assert run_cli(
+            "fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet"
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [validation]: parametric gain"), err
+
+    @pytest.mark.parametrize(
+        "value", ["1e300 Hz", "0 Hz"], ids=["overflowing_square", "zero"]
+    )
+    def test_bad_clearance_frequency_is_validation_error(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL + f"\n[detector]\nclearance_frequency = {value}\n")
+        assert run_cli("report", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [validation]: detector"), err
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [("zero_span_locked", "c7d09092898e6184"), ("zero_span_scanned", "b96c635257175ade")],
+    )
+    def test_bundled_scenario_digest(self, tmp_path, name, digest):
+        scn = SCENARIO_DIR / f"{name}.scenario"
+        assert run_cli("report", str(scn), "--out-dir", str(tmp_path), "--quiet") == 0
+        report = json.loads((tmp_path / "report_report.json").read_text())
+        assert report["scenario_digest"] == digest
 
     @pytest.mark.parametrize(
         "extra",
