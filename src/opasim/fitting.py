@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, UnboundedOptimumError
 from . import noise as nz
-from .detection import DetectorModel
+from .detection import MAX_POINTS, DetectorModel
 
 __all__ = [
     "PumpSweepPoint",
@@ -138,6 +138,17 @@ def _jacobian(x, powers):
     return jac
 
 
+# Largest gain g = 2 sqrt(alpha P) for which J^T J stays finite with
+# MAX_POINTS data rows.  Each entry of the Jacobian is _DB times a branch
+# derivative over a mixed level.  The derivative is at most e^g in magnitude,
+# times d g / d alpha = sqrt(P / alpha) in the alpha column; the level is at
+# least e^-g.  So every entry is at most _DB e^2g max(1, sqrt(P / alpha)), and
+# every entry of J^T J, a sum over the 2 n rows, at most
+# 2 n _DB^2 e^4g max(1, P / alpha).  That stays below float max, e^_MAX_GAIN,
+# while
+#   4 g + ln max(1, P / alpha) <= _MAX_GAIN - ln(2 MAX_POINTS _DB^2),
+# which at P <= alpha is g <= 173.1, against 709.8 for exp alone.
+_MAX_FIT_GAIN = (nz._MAX_GAIN - math.log(2 * MAX_POINTS * _DB**2)) / 4.0
 _MAX_ITER = 200
 _STEP_TOL = 1e-9  # relative step
 _KKT_TOL = 1e-10  # projected, box-scaled gradient over sqrt(cost)
@@ -220,10 +231,12 @@ def fit_pump_sweep(
     powers = np.array([d.pump_power_w for d in data])
     if np.unique(powers).size < 2:
         raise DomainError("sweep points must span at least 2 distinct pump powers")
-    # every iterate has alpha <= alpha_max, so this bounds every exp the fit takes
+    # every iterate has alpha in [alpha_min, alpha_max], so this bounds every
+    # exp the fit takes and keeps J^T J finite (see _MAX_FIT_GAIN)
     p_max = float(powers.max())
-    if not 2.0 * math.sqrt(bounds.alpha_max * p_max) <= nz._MAX_GAIN:
-        raise DomainError(f"parametric gain 2 sqrt(alpha P) must be <= {nz._MAX_GAIN:.1f}, got "
+    limit = _MAX_FIT_GAIN - max(0.0, math.log(p_max) - math.log(bounds.alpha_min)) / 4.0
+    if not 2.0 * math.sqrt(bounds.alpha_max * p_max) <= limit:
+        raise DomainError(f"parametric gain 2 sqrt(alpha P) must be <= {limit:.1f} for this fit, got "
                           f"alpha_max {bounds.alpha_max} /W at P {p_max} W")
     sq = np.array([d.squeezing_db for d in data])
     anti = np.array([d.anti_squeezing_db for d in data])
@@ -306,9 +319,34 @@ def grid_search_optimal_pump(
     s = nz.sin2(theta_rad)
     step = 1e-4
     grid = np.arange(step, p_max + step / 2, step)
-    i = int(np.argmin(_mixed_pair(grid, eta, alpha, s)[0]))
+    i = _argmin_squeezed(grid, eta, alpha, s)
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)
-    return float(fine[np.argmin(_mixed_pair(fine, eta, alpha, s)[0])])
+    return float(fine[_argmin_squeezed(fine, eta, alpha, s)])
+
+
+# Points per block of the grid search.  Blocks this small let malloc reuse
+# the heap memory the previous block freed: amid the design workload's other
+# work, whole-grid temporaries (400 KiB at p_max 5 W) page-faulted ~550 times
+# per call, 8192-point blocks still ~160 times in traced runs, and 5120-point
+# blocks (40 KiB temporaries) not at all.
+_GRID_BLOCK = 5120
+
+
+def _argmin_squeezed(powers: np.ndarray, eta: float, alpha: float, s: float) -> int:
+    """np.argmin of the squeezed level R'- of _mixed_pair over powers, by
+    the same operations in the same order, block by block: the first index
+    of the minimum, or of the first NaN."""
+    c = 1.0 - s
+    best, best_i = math.inf, 0
+    for start in range(0, powers.size, _GRID_BLOCK):
+        g = 2.0 * np.sqrt(alpha * powers[start:start + _GRID_BLOCK])
+        level = nz.lossy(np.exp(-g), eta) * c + nz.lossy(np.exp(g), eta) * s
+        j = int(np.argmin(level))
+        if not level[j] >= best:  # smaller, or NaN
+            best, best_i = level[j], start + j
+            if math.isnan(best):
+                break
+    return best_i
 
 
 @dataclass(frozen=True)

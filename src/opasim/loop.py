@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -130,6 +131,13 @@ class LoopModel:
         out = self._controller_tf.response(f) * plant
         return out * np.exp(-1j * 2.0 * np.pi * f * self.loop_delay)
 
+    @cached_property
+    def margins(self) -> StabilityMargins:
+        """The loop's stability margins, computed on first use.  The loop is
+        frozen, so they never go stale; cached_property writes the instance
+        __dict__, which the frozen dataclass leaves open."""
+        return _stability_margins(self)
+
 
 @dataclass(frozen=True)
 class StabilityMargins:
@@ -198,6 +206,14 @@ def _crossing_index(target: np.ndarray) -> int:
 
 
 def stability_margins(loop) -> StabilityMargins:
+    """Stability margins of any object with .response(f); a LoopModel
+    computes them once and keeps them (LoopModel.margins)."""
+    if isinstance(loop, LoopModel):
+        return loop.margins
+    return _stability_margins(loop)
+
+
+def _stability_margins(loop) -> StabilityMargins:
     """Phase crossover (lowest f where unwrapped phase hits -180 deg) with
     its gain margin, and the first downward unity-gain crossing with its
     phase margin, searched from 1 Hz to 20 MHz at 200 points/decade.  Each

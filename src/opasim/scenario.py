@@ -182,12 +182,23 @@ def _format_value(value, kind) -> str:
     return f"{float(value)!r} {next(iter(_UNITS[kind]))}"
 
 
+def _lines(text: str):
+    """The lines of ``text``, each with its "\\n", as iterating io.StringIO(text)
+    gives them, but one at a time: read_string would copy the whole text into
+    a StringIO first."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
     # no header can be empty, so [DEFAULT] is an ordinary, unknown section
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="")
     parser.optionxform = str
     try:
-        parser.read_string(text, source=name)
+        parser.read_file(_lines(text), source=name)
     except configparser.Error as exc:
         raise ScenarioParseError(f"{name}: {exc}") from exc
     if not parser.sections():

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from opasim import fitting as ft
 from opasim import noise as nz
-from opasim.detection import DetectorModel
+from opasim.detection import MAX_POINTS, DetectorModel
 from opasim.errors import DomainError, UnboundedOptimumError
 
 TRUE_ETA, TRUE_ALPHA, TRUE_THETA = 0.88, 8.2, math.radians(0.8)
@@ -18,6 +19,15 @@ def synthetic_data(eta=TRUE_ETA, alpha=TRUE_ALPHA, theta=TRUE_THETA, powers=POWE
         sq = sq + rng.uniform(-noise_db, noise_db, sq.size)
         anti = anti + rng.uniform(-noise_db, noise_db, anti.size)
     return [ft.PumpSweepPoint(p, s, a) for p, s, a in zip(powers, sq, anti)]
+
+
+def reference_grid_search(eta, alpha, theta, p_max):
+    """grid_search_optimal_pump as one np.argmin over each whole grid."""
+    s = nz.sin2(theta)
+    grid = np.arange(1e-4, p_max + 0.5e-4, 1e-4)
+    i = int(np.argmin(ft._mixed_pair(grid, eta, alpha, s)[0]))
+    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)
+    return float(fine[np.argmin(ft._mixed_pair(fine, eta, alpha, s)[0])])
 
 
 class TestFitPumpSweep:
@@ -72,6 +82,21 @@ class TestFitPumpSweep:
         data = synthetic_data()[:2] + [ft.PumpSweepPoint(pump_w, -5.0, 12.0)]
         with pytest.raises(DomainError, match="parametric gain"):
             ft.fit_pump_sweep(data, bounds=ft.FitBounds(alpha_max=alpha_max))
+
+    @pytest.mark.parametrize("alpha_min, alpha_max", [(1.0, 20.0), (1e-3, 20.0), (1e-3, 1e-2)])
+    def test_normal_matrix_finite_up_to_the_gain_limit(self, alpha_min, alpha_max):
+        p = 1.0
+        for _ in range(60):  # the largest pump power the gain check admits
+            limit = ft._MAX_FIT_GAIN - max(0.0, math.log(p / alpha_min)) / 4.0
+            p = (limit / 2.0) ** 2 / alpha_max
+        bounds = ft.FitBounds(alpha_min=alpha_min, alpha_max=alpha_max)
+        over = synthetic_data()[:2] + [ft.PumpSweepPoint(p * (1 + 1e-9), -5.0, 12.0)]
+        with pytest.raises(DomainError, match="parametric gain"):
+            ft.fit_pump_sweep(over, bounds=bounds)
+        # MAX_POINTS rows at p, at the iterates where the entries peak (eta = 1, s = 0)
+        for alpha in (alpha_min, alpha_max):
+            jac = ft._jacobian(np.array([1.0, alpha, 0.0]), np.array([p * (1 - 1e-12)]))
+            assert np.isfinite(MAX_POINTS * (jac.T @ jac)).all()
 
     def test_degenerate_powers_rejected(self):
         d = synthetic_data()
@@ -222,6 +247,41 @@ class TestOptimalPumpPower:
             closed = ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, theta).pump_power_w
             grid_p = ft.grid_search_optimal_pump(TRUE_ETA, TRUE_ALPHA, theta, p_max=5.0)
             assert abs(grid_p - closed) < 1e-6
+
+    def test_grid_oracle_matches_unblocked_reference(self):
+        rng = np.random.default_rng(20261019)
+        cases = [(rng.uniform(0.3, 1.0), rng.uniform(2.0, 20.0),
+                  math.radians(rng.uniform(0.05, 5.0)), rng.uniform(0.05, 6.0)) for _ in range(200)]
+        theta = math.radians(1.0)
+        edge_alpha = math.log(1.0 / math.tan(theta)) ** 2 / (4.0 * ft._GRID_BLOCK * 1e-4)
+        cases += [
+            (0.9, edge_alpha, theta, 2.0),  # minimum on the edge of the first block
+            (0.9, edge_alpha * (1 - 1e-4), theta, 2.0),
+            (0.9, 200.0, math.radians(40.0), 3.0),  # minimum at the first grid point
+            (0.9, 2.0, math.radians(0.05), 2.0),  # minimum at the last grid point
+            (0.0, 8.0, theta, 2.0),  # a flat level: every point ties
+            (0.9, 8.0, theta, 2 * ft._GRID_BLOCK * 1e-4),  # whole blocks only
+            # no loss term: exp overflows to NaN levels from 1 W, in the second block
+            (0.0, 354.9**2, theta, 2.0),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            coarse = {int(np.argmin(ft._mixed_pair(np.arange(1e-4, p_max + 0.5e-4, 1e-4), eta, alpha,
+                                                   nz.sin2(th))[0])) for eta, alpha, th, p_max in cases[200:]}
+            assert {0, ft._GRID_BLOCK - 1, ft._GRID_BLOCK, 19_999, 9_999} <= coarse
+            for eta, alpha, th, p_max in cases:
+                got = ft.grid_search_optimal_pump(eta, alpha, th, p_max=p_max)
+                assert got == reference_grid_search(eta, alpha, th, p_max), (eta, alpha, th, p_max)
+
+    def test_grid_oracle_memory(self):
+        ft.grid_search_optimal_pump(TRUE_ETA, TRUE_ALPHA, TRUE_THETA, p_max=5.0)
+        tracemalloc.start()
+        try:
+            ft.grid_search_optimal_pump(TRUE_ETA, TRUE_ALPHA, TRUE_THETA, p_max=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 50 000-point grid (391 KiB) and one block of temporaries at a time
+        assert peak < 2**20, f"peak {peak / 2**10:.0f} KiB"
 
     def test_optimum_is_global_on_grid(self):
         closed = ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, TRUE_THETA).pump_power_w

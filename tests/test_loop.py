@@ -190,6 +190,47 @@ class TestStabilityMargins:
         assert m.stable
 
 
+@pytest.fixture
+def margins_calls(monkeypatch):
+    """The loops whose margins are computed, in order."""
+    calls = []
+    compute = lp._stability_margins
+    monkeypatch.setattr(lp, "_stability_margins", lambda loop: calls.append(loop) or compute(loop))
+    return calls
+
+
+class DuckLoop:
+    """A loop that is not a LoopModel: response and kind only."""
+
+    def __init__(self, loop):
+        self.response = loop.response
+        self.kind = loop.kind
+
+
+class TestMarginsOncePerLoop:
+    def test_lock_study_computes_margins_once_per_loop(self, margins_calls):
+        loops = lp.default_lock_loops()
+        margins = [lp.stability_margins(loop) for loop in loops]
+        lp.select_shift_frequency(loops, [0.25e6, 0.5e6, 1e6, 2e6, 4e6])
+        template = lp.PhaseNoiseSpectrum(kind="one_over_f2", f_min=1.0, f_max=1e6)
+        spectrum = lp.calibrate_jitter_amplitude(loops[1], PhaseJitter.from_degrees(0.8), template)
+        lp.residual_jitter(spectrum, loops[1])
+        lp.residual_jitter(lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-12), loops[1])
+        assert margins_calls == loops
+        assert [lp.stability_margins(loop) for loop in loops] == margins
+
+    def test_duck_typed_loop_computes_margins_on_every_call(self, margins_calls):
+        loops = lp.default_lock_loops()
+        ducks = [DuckLoop(loop) for loop in loops]
+        assert [lp.stability_margins(d) for d in ducks] == [lp.stability_margins(l) for l in loops]
+        cands = [0.25e6, 0.5e6, 1e6, 2e6, 4e6]
+        assert lp.select_shift_frequency(ducks, cands) == lp.select_shift_frequency(loops, cands)
+        noise = lp.PhaseNoiseSpectrum(kind="one_over_f2", amplitude=1e-3, f_min=1.0, f_max=1e6)
+        assert lp.residual_jitter(noise, ducks[0]) == lp.residual_jitter(noise, loops[0])
+        # each duck-typed use computes its margins; the two LoopModels once each
+        assert margins_calls == ducks + loops + ducks + [ducks[0]]
+
+
 class TestShiftSelection:
     def test_default_loops_select_1mhz(self):
         shift = lp.select_shift_frequency(

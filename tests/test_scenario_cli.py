@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import io
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from opasim.cli import run
 from opasim.detection import MAX_POINTS, Trace, trace_extrema
 from opasim.errors import ScenarioParseError, ScenarioValidationError
 from opasim.scenario import (
-    _FORMAT, MAX_SCENARIO_BYTES, load_scenario, loads_scenario, serialize_scenario,
+    _FORMAT, MAX_SCENARIO_BYTES, _lines, load_scenario, loads_scenario, serialize_scenario,
 )
 
 from conftest import SCENARIO_DIR
@@ -304,6 +305,24 @@ class TestLoadScenario:
             scn.write_bytes(text.replace("\n", newline).encode())
             assert load_scenario(scn) == locked_bundle, name
 
+    def test_parse_memory_is_a_few_copies_of_the_text(self):
+        text = (MINIMAL + "\n[lock_loops]\nshift_candidates = "
+                + ", ".join(["1.5 MHz"] * (MAX_POINTS + 1)) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioValidationError, match="at most"):
+                loads_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the long line, its stripped value and the joined value: about three
+        # copies of the 8.6 MB text; configparser.read_string peaks at 7
+        assert peak < 3.5 * len(text), f"peak {peak / len(text):.1f} x the text"
+
+    @pytest.mark.parametrize("text", ["", "\n", "a\n\nb", "a\r\nb\rc\n", "x\x0cy\u2028z\n\n"])
+    def test_lines_split_as_stringio(self, text):
+        assert list(_lines(text)) == list(io.StringIO(text))
+
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         scn = tmp_path / "latin1.scenario"
         scn.write_bytes(("# pump: 660 \u00b5W\n" + MINIMAL).encode("latin-1"))
@@ -440,6 +459,17 @@ class TestCli:
     def test_fit_gain_overflow_is_validation_error(self, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
         csv.write_text("pump_w,squeezing_db,antisqueezing_db\n0.1,-3,5\n0.2,-5,8\n1e5,-5,12\n")
+        assert run_cli(
+            "fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet"
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [validation]: parametric gain"), err
+
+    @pytest.mark.parametrize("row", ["6290,-5,3000", "6296,-5,3082"])
+    def test_fit_normal_matrix_overflow_is_validation_error(self, tmp_path, capsys, row):
+        # inside the gain bound of exp alone, but J^T J of the fit overflows
+        csv = tmp_path / "sweep.csv"
+        csv.write_text(f"pump_w,squeezing_db,antisqueezing_db\n0.1,-3,5\n0.2,-5,8\n{row}\n")
         assert run_cli(
             "fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet"
         ) == 2
