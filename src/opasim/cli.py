@@ -29,8 +29,9 @@ from .detection import (
     sweep_frequency,
     trace_extrema,
 )
-from .errors import DomainError, ToolError
+from .errors import DomainError, InfeasibleError, ToolError
 from .fitting import (
+    _GRID_STEP_W,
     PumpSweepPoint,
     fit_pump_sweep,
     grid_search_optimal_pump,
@@ -151,8 +152,10 @@ def _cmd_simulate(bundle, report, out_dir, args):
     digest = report.data["scenario_digest"]
     _write_trace_csv(out_dir / "zero_span.csv", trace, digest)
     _write_trace_csv(out_dir / "zero_span_shot.csv", shot, digest)
-    mean_db = 10.0 * math.log10(np.mean(10.0 ** (trace.values_dbm / 10.0)))
-    shot_db = 10.0 * math.log10(np.mean(10.0 ** (shot.values_dbm / 10.0)))
+    # linear power relative to shot noise, so no level overflows or underflows
+    ref = s.detector.shot_noise_dbm
+    mean_db = ref + 10.0 * math.log10(np.mean(10.0 ** ((trace.values_dbm - ref) / 10.0)))
+    shot_db = ref + 10.0 * math.log10(np.mean(10.0 ** ((shot.values_dbm - ref) / 10.0)))
     report.add("trace_points", s.analyzer.points)
     report.add("video_averages", s.analyzer.video_averages)
     report.add("trace_mean_dbm", mean_db)
@@ -237,6 +240,9 @@ def _cmd_optimize(bundle, report, out_dir, args):
     alpha = s.opa.shg_efficiency
     theta = s.jitter.theta
     op = optimal_pump_power(eta, alpha, theta, detection_transmittance=s.detection_transmittance)
+    if op.pump_power_w < _GRID_STEP_W:
+        raise InfeasibleError(f"optimal pump power {op.pump_power_w:.6g} W lies below the grid "
+                              f"oracle's first point, {_GRID_STEP_W} W, so the oracle cannot check it")
     oracle = grid_search_optimal_pump(eta, alpha, theta)
     report.add("optimal_pump_w", op.pump_power_w)
     report.add("grid_oracle_pump_w", oracle)

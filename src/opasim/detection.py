@@ -76,10 +76,7 @@ class DetectorModel:
         except OverflowError:
             f_lo = math.inf
         object.__setattr__(self, "_f_lo", f_lo)
-        # over a 0 dBm floor the level is the shape alone
-        object.__setattr__(self, "_floor_dbm", 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            shape_at_peak = float(self.circuit_level_dbm(self.peak_frequency_hz))
+        shape_at_peak = float(self._shape_db(self.peak_frequency_hz))
         floor = self.shot_noise_dbm - self.peak_clearance_db - shape_at_peak
         nz._check_finite("circuit-noise floor", floor)
         object.__setattr__(self, "_floor_dbm", floor)
@@ -88,11 +85,21 @@ class DetectorModel:
     def analyzer_floor_dbm(self) -> float:
         return self._floor_dbm + self.analyzer_floor_offset_db
 
-    def circuit_level_dbm(self, f) -> np.ndarray:
+    def _shape_db(self, f) -> np.ndarray:
+        """The circuit-noise level over its floor (dB); inf where it overflows."""
         f = np.asarray(f, dtype=float)
         n = self.slope_db_per_decade / 10.0
-        shape = 1.0 + (f / self.high_corner_hz) ** n + (self._f_lo / f) ** n
-        return self._floor_dbm + 10.0 * np.log10(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 10.0 * np.log10(1.0 + (f / self.high_corner_hz) ** n + (self._f_lo / f) ** n)
+
+    def circuit_level_dbm(self, f) -> np.ndarray:
+        shape_db = self._shape_db(f)
+        if not math.isfinite(shape_db.max(initial=0.0)):  # NaN fails too
+            raise DomainError(
+                f"circuit_slope {self.slope_db_per_decade:g} dB_per_decade overflows the "
+                f"circuit-noise shape between {np.min(f):g} and {np.max(f):g} Hz"
+            )
+        return self._floor_dbm + shape_db
 
     def clearance_db(self, f) -> np.ndarray:
         return self.shot_noise_dbm - self.circuit_level_dbm(f)
@@ -115,6 +122,8 @@ class AnalyzerSettings:
     def __post_init__(self):
         for name in ("center_frequency_hz", "span_hz", "rbw_hz", "vbw_hz", "sweep_time_s"):
             nz._check_finite(name, getattr(self, name))
+        if not self.center_frequency_hz > 0:
+            raise DomainError("center_frequency must be > 0")
         if not self.vbw_hz > 0:
             raise DomainError("vbw must be > 0")
         nz._check_finite("rbw/vbw", self.rbw_hz / self.vbw_hz)
@@ -275,9 +284,11 @@ def trace_extrema(trace: Trace) -> tuple[float, float]:
     quadratically off the null), so smoothing would blend it away and the
     raw minimum is the better estimator there.
     """
-    lin = 10.0 ** (trace.values_dbm / 10.0)
+    # linear power relative to the trace's top, so no level overflows
+    top = trace.values_dbm.max()
+    lin = 10.0 ** ((trace.values_dbm - top) / 10.0)
     smoothed = np.convolve(lin, np.full(9, 1.0 / 9), mode="valid")
-    return float(10.0 * np.log10(smoothed.max())), float(10.0 * np.log10(lin.min()))
+    return float(top + 10.0 * np.log10(smoothed.max())), float(trace.values_dbm.min())
 
 
 def select_measurement_frequency(sweep: FrequencySweep) -> float:

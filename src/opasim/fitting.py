@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, UnboundedOptimumError
+from .errors import DomainError, InfeasibleError, NonConvergenceError, UnboundedOptimumError
 from . import noise as nz
 from .detection import MAX_POINTS, DetectorModel
 
@@ -66,14 +66,6 @@ class FitBounds:
         if not 0 < self.jitter_max_rad < math.pi / 2:
             raise DomainError("jitter_max must be in (0, pi/2) rad")
 
-    @property
-    def lower(self) -> np.ndarray:
-        return np.array([self.eta_min, self.alpha_min, 0.0])
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.array([self.eta_max, self.alpha_max, self.jitter_max_rad])
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -111,20 +103,17 @@ def model_levels_db(powers, eta: float, alpha: float, theta: float):
     return 10.0 * np.log10(mm), 10.0 * np.log10(mp)
 
 
-def _residuals(x, powers, sq_db, anti_db):
-    """dB residuals of both branches at x = (eta, alpha, s)."""
-    mm, mp = _mixed_pair(powers, *x)
-    return np.concatenate([10.0 * np.log10(mm) - sq_db, 10.0 * np.log10(mp) - anti_db])
-
-
-def _jacobian(x, powers):
-    """Jacobian of the dB residuals in x = (eta, alpha, s).  The mix is
-    linear, so each column is the mix of the branch derivatives over the
-    mixed level."""
+def _residuals_and_jacobian(x, powers, sq_db, anti_db):
+    """dB residuals of both branches at x = (eta, alpha, s) and their
+    Jacobian in x, from one evaluation of the branches.  The mix is linear,
+    so each column is the mix of the branch derivatives over the mixed
+    level."""
     eta, alpha, s = x
     g = 2.0 * np.sqrt(alpha * powers)
     ep, em = np.exp(g), np.exp(-g)
     rp, rm = nz.lossy(ep, eta), nz.lossy(em, eta)
+    mm, mp = nz.mix(rm, rp, s)
+    res = np.concatenate([10.0 * np.log10(mm) - sq_db, 10.0 * np.log10(mp) - anti_db])
     dg = np.sqrt(powers / alpha)  # d g / d alpha
     n = powers.size
     jac = np.empty((2 * n, 3))
@@ -133,9 +122,9 @@ def _jacobian(x, powers):
     # the s column stays nonzero at s = 0, so theta = 0 is no stationary trap
     jac[:n, 2] = rp - rm
     jac[n:, 2] = rm - rp
-    jac /= np.concatenate(nz.mix(rm, rp, s))[:, None]  # the mixed levels
+    jac /= np.concatenate((mm, mp))[:, None]  # the mixed levels
     jac *= _DB
-    return jac
+    return res, jac
 
 
 # Largest gain g = 2 sqrt(alpha P) for which J^T J stays finite with
@@ -149,6 +138,13 @@ def _jacobian(x, powers):
 #   4 g + ln max(1, P / alpha) <= _MAX_GAIN - ln(2 MAX_POINTS _DB^2),
 # which at P <= alpha is g <= 173.1, against 709.8 for exp alone.
 _MAX_FIT_GAIN = (nz._MAX_GAIN - math.log(2 * MAX_POINTS * _DB**2)) / 4.0
+# Largest |dB| of a data level.  Every mixed level lies between e^-g and e^g,
+# so with g <= _MAX_FIT_GAIN the model's levels stay within _DB _MAX_FIT_GAIN
+# = 751.7 dB of shot noise, and a level beyond that cannot be fit.  Within
+# the bound each residual is at most 2 _MAX_LEVEL_DB, so the squared sum over
+# 2 MAX_POINTS rows stays below 8 MAX_POINTS _MAX_LEVEL_DB^2 = 4.5e12, and
+# J^T res stays finite wherever J^T J does.
+_MAX_LEVEL_DB = _DB * _MAX_FIT_GAIN
 _MAX_ITER = 200
 _STEP_TOL = 1e-9  # relative step
 _KKT_TOL = 1e-10  # projected, box-scaled gradient over sqrt(cost)
@@ -168,8 +164,7 @@ def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
     """
     width = hi - lo
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    res = _residuals(x, powers, sq_db, anti_db)
-    jac = _jacobian(x, powers)
+    res, jac = _residuals_and_jacobian(x, powers, sq_db, anti_db)
     cost = float(res @ res)
     lam = 1e-3
     converged = False
@@ -194,7 +189,7 @@ def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
                 lam *= 10.0
                 continue
             x_new = np.clip(x + step, lo, hi)
-            res_new = _residuals(x_new, powers, sq_db, anti_db)
+            res_new, jac_new = _residuals_and_jacobian(x_new, powers, sq_db, anti_db)
             cost_new = float(res_new @ res_new)
             if cost_new <= cost:
                 break
@@ -202,8 +197,7 @@ def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
         else:
             break
         rel_step = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-30)
-        x, res, cost = x_new, res_new, cost_new
-        jac = _jacobian(x, powers)
+        x, res, jac, cost = x_new, res_new, jac_new, cost_new
         lam = max(lam / 3.0, 1e-12)
         if rel_step < _STEP_TOL:
             converged = True
@@ -240,9 +234,12 @@ def fit_pump_sweep(
                           f"alpha_max {bounds.alpha_max} /W at P {p_max} W")
     sq = np.array([d.squeezing_db for d in data])
     anti = np.array([d.anti_squeezing_db for d in data])
+    worst = float(np.max(np.abs([sq, anti])))
+    if not worst <= _MAX_LEVEL_DB:  # NaN fails too
+        raise DomainError(f"dB levels must lie within +-{_MAX_LEVEL_DB:.1f} dB, got {worst!r}")
 
-    lo, hi = bounds.lower, bounds.upper
-    hi[2] = nz.sin2(hi[2])
+    lo = np.array([bounds.eta_min, bounds.alpha_min, 0.0])
+    hi = np.array([bounds.eta_max, bounds.alpha_max, nz.sin2(bounds.jitter_max_rad)])
     if initial is None:
         x0 = (lo + hi) / 2.0
     else:
@@ -304,6 +301,9 @@ def optimal_pump_power(
     )
 
 
+_GRID_STEP_W = 1e-4  # the grid oracle's step and first point
+
+
 def grid_search_optimal_pump(
     eta: float,
     alpha: float,
@@ -313,11 +313,17 @@ def grid_search_optimal_pump(
     """Brute-force oracle for the optimal pump power: coarse 0.1-mW grid
     over (0, p_max], refined on a fine grid over the two cells around the
     coarse minimum to 5e-8 W.  The squeezed variance is searched in
-    linear units, which share their argmin with the dB levels."""
+    linear units, which share their argmin with the dB levels.  The grid
+    ends a step below the pump power where the gain 2 sqrt(alpha P)
+    reaches nz._MAX_GAIN, so every exp it takes is finite."""
     if theta_rad <= 0:
         raise UnboundedOptimumError("grid search needs theta > 0")
     s = nz.sin2(theta_rad)
-    step = 1e-4
+    step = _GRID_STEP_W
+    if 4.0 * alpha * p_max > nz._MAX_GAIN**2:
+        p_max = step * (math.floor(nz._MAX_GAIN**2 / (4.0 * alpha * step)) - 1)
+        if p_max < step:
+            raise InfeasibleError(f"the gain limit lies below the grid's first point, {step} W")
     grid = np.arange(step, p_max + step / 2, step)
     i = _argmin_squeezed(grid, eta, alpha, s)
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)

@@ -132,11 +132,11 @@ class LoopModel:
         return out * np.exp(-1j * 2.0 * np.pi * f * self.loop_delay)
 
     @cached_property
-    def margins(self) -> StabilityMargins:
-        """The loop's stability margins, computed on first use.  The loop is
-        frozen, so they never go stale; cached_property writes the instance
-        __dict__, which the frozen dataclass leaves open."""
-        return _stability_margins(self)
+    def _grid_analysis(self) -> tuple:
+        """_analyse(self), computed on first use.  The loop is frozen, so it
+        never goes stale; cached_property writes the instance __dict__,
+        which the frozen dataclass leaves open."""
+        return _analyse(self)
 
 
 @dataclass(frozen=True)
@@ -207,19 +207,24 @@ def _crossing_index(target: np.ndarray) -> int:
 
 def stability_margins(loop) -> StabilityMargins:
     """Stability margins of any object with .response(f); a LoopModel
-    computes them once and keeps them (LoopModel.margins)."""
-    if isinstance(loop, LoopModel):
-        return loop.margins
-    return _stability_margins(loop)
+    computes them once and keeps them."""
+    return _grid_analysis(loop)[3]
 
 
-def _stability_margins(loop) -> StabilityMargins:
-    """Phase crossover (lowest f where unwrapped phase hits -180 deg) with
-    its gain margin, and the first downward unity-gain crossing with its
-    phase margin, searched from 1 Hz to 20 MHz at 200 points/decade.  Each
-    crossover is refined to 1e-3 relative by one response call on a log
-    grid across its bracketing grid cell, which also gives the response at
-    the crossover."""
+def _grid_analysis(loop) -> tuple:
+    """_analyse(loop), kept by a LoopModel and computed afresh for any
+    other object with .response(f)."""
+    return loop._grid_analysis if isinstance(loop, LoopModel) else _analyse(loop)
+
+
+def _analyse(loop) -> tuple:
+    """(grid, response, unwrapped phase in deg, margins) of a loop on the
+    margins grid.  The margins: the phase crossover (lowest f where the
+    unwrapped phase hits -180 deg) with its gain margin, and the first
+    downward unity-gain crossing with its phase margin, searched from 1 Hz
+    to 20 MHz at 200 points/decade.  Each crossover is refined to 1e-3
+    relative by one response call on a log grid across its bracketing grid
+    cell, which also gives the response at the crossover."""
     grid = log_frequency_grid(1.0, 2e7, 200)
     h = loop.response(grid)
     mag = np.abs(h)
@@ -249,7 +254,7 @@ def _stability_margins(loop) -> StabilityMargins:
         # phase at the crossover, continued from the nearest grid point
         phase_margin = 180.0 + phase[i] + math.degrees(np.angle(hf[k] / h[i]))
 
-    return StabilityMargins(
+    return grid, h, phase, StabilityMargins(
         phase_crossover_hz=phase_crossover,
         gain_margin_db=gain_margin,
         gain_crossover_hz=gain_crossover,
@@ -288,20 +293,21 @@ def select_shift_frequency(
     if bad:
         raise DomainError(f"candidate shifts must be > 0 Hz, got {bad}")
 
-    grid = log_frequency_grid(1e3, 2e7)
     shifts = np.array(cands)
     accepted = np.ones(shifts.size, dtype=bool)
     for loop in loops:
-        m = stability_margins(loop)
+        grid, h, phase, m = _grid_analysis(loop)
         keeps_margins = (m.gain_margin_db is None or m.gain_margin_db >= min_gain_margin_db) and (
             m.phase_margin_deg is None or m.phase_margin_deg >= min_phase_margin_deg
         )
         beat = shifts * demod_frequency(1.0, loop.kind)  # linear in the shift
         ref = np.abs(loop.response(1e4))  # the flat-band reference, 10 kHz
+        h_beat = loop.response(beat)
         with np.errstate(divide="ignore"):
-            flat_db = 20.0 * np.log10(np.abs(loop.response(beat)) / ref)
-        # phase distance from -180 deg at the beat frequency
-        phase_at = np.interp(np.log10(beat), np.log10(grid), _unwrapped_phase_deg(loop, grid))
+            flat_db = 20.0 * np.log10(np.abs(h_beat) / ref)
+        # phase at the beat, continued from the grid node at or below it
+        i = np.maximum(np.searchsorted(grid, beat, side="right") - 1, 0)
+        phase_at = phase[i] + np.degrees(np.angle(h_beat / h[i]))
         accepted &= (
             keeps_margins
             & (beat <= grid[-1])

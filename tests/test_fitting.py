@@ -95,8 +95,26 @@ class TestFitPumpSweep:
             ft.fit_pump_sweep(over, bounds=bounds)
         # MAX_POINTS rows at p, at the iterates where the entries peak (eta = 1, s = 0)
         for alpha in (alpha_min, alpha_max):
-            jac = ft._jacobian(np.array([1.0, alpha, 0.0]), np.array([p * (1 - 1e-12)]))
+            _, jac = ft._residuals_and_jacobian(
+                np.array([1.0, alpha, 0.0]), np.array([p * (1 - 1e-12)]), np.zeros(1), np.zeros(1)
+            )
             assert np.isfinite(MAX_POINTS * (jac.T @ jac)).all()
+
+    @pytest.mark.parametrize("level", [1e300, -1e300, math.nan, math.inf, 752.0, -752.0])
+    @pytest.mark.parametrize("branch", [1, 2])
+    def test_level_beyond_the_model_reach_rejected(self, level, branch):
+        row = [0.3, -5.0, 12.0]
+        row[branch] = level
+        data = synthetic_data()[:2] + [ft.PumpSweepPoint(*row)]
+        with pytest.raises(DomainError, match="dB levels"):
+            ft.fit_pump_sweep(data)
+
+    def test_level_bound_is_the_model_reach(self):
+        # both branches reach +-_MAX_LEVEL_DB at the largest gain, and the bound admits them
+        g = ft._MAX_FIT_GAIN
+        sq, anti = ft.model_levels_db(np.array([(g / 2.0) ** 2]), 1.0, 1.0, 0.0)
+        assert -sq[0] == pytest.approx(ft._MAX_LEVEL_DB, rel=1e-12)
+        assert anti[0] == pytest.approx(ft._MAX_LEVEL_DB, rel=1e-12)
 
     def test_degenerate_powers_rejected(self):
         d = synthetic_data()
@@ -119,15 +137,15 @@ class TestFitPumpSweep:
         ]
         samples.append(np.array([0.8, 6.0, 0.0]))
         for x in samples:
-            jac = ft._jacobian(x, powers)
+            _, jac = ft._residuals_and_jacobian(x, powers, sq, anti)
             eps = 1e-7
             for k in range(3):
                 h = max(abs(x[k]), 1.0) * eps
                 xp, xm = x.copy(), x.copy()
                 xp[k] += h
                 xm[k] -= h
-                rp = ft._residuals(xp, powers, sq, anti)
-                rm = ft._residuals(xm, powers, sq, anti)
+                rp, _ = ft._residuals_and_jacobian(xp, powers, sq, anti)
+                rm, _ = ft._residuals_and_jacobian(xm, powers, sq, anti)
                 fd = (rp - rm) / (2 * h)
                 assert np.allclose(jac[:, k], fd, rtol=1e-6, atol=1e-8)
         # at theta = 0 the s column still pulls: no stationary point there
@@ -136,8 +154,9 @@ class TestFitPumpSweep:
     def test_covariance_is_scaled_inverse_normal_matrix_in_theta(self):
         r = ft.fit_pump_sweep(synthetic_data(rng=np.random.default_rng(7), noise_db=0.05))
         x = np.array([r.transmittance, r.shg_efficiency, r.jitter_rad])
-        bounds = ft.FitBounds()
-        assert np.all(x > bounds.lower) and np.all(x < bounds.upper)
+        b = ft.FitBounds()
+        assert np.all(x > [b.eta_min, b.alpha_min, 0.0])
+        assert np.all(x < [b.eta_max, b.alpha_max, b.jitter_max_rad])
         jac = np.empty((2 * POWERS.size, 3))
         for k in range(3):
             h = x[k] * 1e-6
@@ -268,9 +287,27 @@ class TestOptimalPumpPower:
             coarse = {int(np.argmin(ft._mixed_pair(np.arange(1e-4, p_max + 0.5e-4, 1e-4), eta, alpha,
                                                    nz.sin2(th))[0])) for eta, alpha, th, p_max in cases[200:]}
             assert {0, ft._GRID_BLOCK - 1, ft._GRID_BLOCK, 19_999, 9_999} <= coarse
-            for eta, alpha, th, p_max in cases:
+            for eta, alpha, th, p_max in cases[:-1]:
                 got = ft.grid_search_optimal_pump(eta, alpha, th, p_max=p_max)
                 assert got == reference_grid_search(eta, alpha, th, p_max), (eta, alpha, th, p_max)
+            # the oracle's own grid ends below the gain limit, so NaN levels
+            # reach the blocked argmin only when it is called directly
+            eta, alpha, th, p_max = cases[-1]
+            grid = np.arange(1e-4, p_max + 0.5e-4, 1e-4)
+            s = nz.sin2(th)
+            want = int(np.argmin(ft._mixed_pair(grid, eta, alpha, s)[0]))
+            assert ft._argmin_squeezed(grid, eta, alpha, s) == want == 9_999
+
+    @pytest.mark.parametrize("eta, alpha, theta_deg", [(0.9, 7e4, 0.1), (0.0, 354.9**2, 1.0)])
+    def test_grid_oracle_stops_below_the_gain_limit(self, eta, alpha, theta_deg):
+        # 2 sqrt(alpha P) passes log(float max) below p_max = 2 W; no overflow
+        # warning either, as pytest turns warnings into errors
+        assert 2.0 * math.sqrt(alpha * 2.0) > nz._MAX_GAIN
+        theta = math.radians(theta_deg)
+        got = ft.grid_search_optimal_pump(eta, alpha, theta)
+        assert 2.0 * math.sqrt(alpha * got) < nz._MAX_GAIN
+        if eta > 0:
+            assert got == pytest.approx(ft.optimal_pump_power(eta, alpha, theta).pump_power_w, abs=1e-6)
 
     def test_grid_oracle_memory(self):
         ft.grid_search_optimal_pump(TRUE_ETA, TRUE_ALPHA, TRUE_THETA, p_max=5.0)

@@ -194,8 +194,8 @@ class TestStabilityMargins:
 def margins_calls(monkeypatch):
     """The loops whose margins are computed, in order."""
     calls = []
-    compute = lp._stability_margins
-    monkeypatch.setattr(lp, "_stability_margins", lambda loop: calls.append(loop) or compute(loop))
+    compute = lp._analyse
+    monkeypatch.setattr(lp, "_analyse", lambda loop: calls.append(loop) or compute(loop))
     return calls
 
 
@@ -218,6 +218,18 @@ class TestMarginsOncePerLoop:
         lp.residual_jitter(lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-12), loops[1])
         assert margins_calls == loops
         assert [lp.stability_margins(loop) for loop in loops] == margins
+
+    def test_lock_study_evaluates_the_margins_grid_once_per_loop(self, monkeypatch):
+        sizes = []
+        respond = lp.LoopModel.response
+        monkeypatch.setattr(lp.LoopModel, "response",
+                            lambda loop, f: sizes.append((loop, np.size(f))) or respond(loop, f))
+        loops = lp.default_lock_loops()
+        margins = [lp.stability_margins(loop) for loop in loops]
+        shift = lp.select_shift_frequency(loops, [0.25e6, 0.5e6, 1e6, 2e6, 4e6])
+        assert shift == 1e6 and all(m.stable for m in margins)
+        grid = lp.log_frequency_grid(1.0, 2e7, 200)
+        assert [(loop, n) for loop, n in sizes if n > 100] == [(loop, grid.size) for loop in loops]
 
     def test_duck_typed_loop_computes_margins_on_every_call(self, margins_calls):
         loops = lp.default_lock_loops()
@@ -290,6 +302,31 @@ class TestShiftSelection:
         assert expected is not None
         assert lp.select_shift_frequency(loops, cands, **rules) == expected
 
+    def test_matches_exact_phase_rule_on_random_studies(self):
+        rng = np.random.default_rng(16)
+        chosen = set()
+        for _ in range(200):
+            crossovers = 10 ** rng.uniform(6.0, 6.9, 2)  # 1 to 8 MHz
+            loops = lp.default_lock_loops(*crossovers)
+            # shifts from below 1 Hz to past 20 MHz, whose beats bracket both grid ends
+            low = rng.uniform(-0.5, 6.0)
+            cands = list(10 ** rng.uniform(low, min(low + 3.0, 7.5), 10))
+            rules = {
+                "min_gain_margin_db": rng.uniform(0.0, 12.0),
+                "min_phase_margin_deg": rng.uniform(0.0, 90.0),
+                "flat_band_db": rng.uniform(0.1, 10.0),
+            }
+            expected = scalar_select_shift(loops, cands, **rules)
+            if expected is None:
+                with pytest.raises(NoFeasibleCandidateError):
+                    lp.select_shift_frequency(loops, cands, **rules)
+            else:
+                assert lp.select_shift_frequency(loops, cands, **rules) == expected
+                chosen.add(math.floor(math.log10(expected)))
+        # selections in every decade from sub-kHz beats up (below ~100 Hz no
+        # beat is within the flat band)
+        assert {2, 3, 4, 5, 6} <= chosen
+
     @pytest.mark.parametrize(
         "cands, kwargs",
         [
@@ -312,9 +349,8 @@ def scalar_select_shift(loops, candidates, min_gain_margin_db=6.0, min_phase_mar
     """The selection rule checked one candidate and one loop at a time:
     the largest shift whose beat frequency, on every loop that keeps both
     margins, lies below 20 MHz, within flat_band_db of the gain at 10 kHz
-    and at least min_phase_margin_deg above -180 deg.  None when no
-    candidate passes."""
-    grid = lp.log_frequency_grid(1e3, 2e7)
+    and at least min_phase_margin_deg above -180 deg in the loop's phase
+    unwrapped from 1 Hz.  None when no candidate passes."""
 
     def accepts(loop, shift):
         m = lp.stability_margins(loop)
@@ -323,14 +359,15 @@ def scalar_select_shift(loops, candidates, min_gain_margin_db=6.0, min_phase_mar
         if m.phase_margin_deg is not None and m.phase_margin_deg < min_phase_margin_deg:
             return False
         fd = lp.demod_frequency(shift, loop.kind)
-        if fd > grid[-1]:
+        if fd > 2e7:
             return False
         ref = abs(complex(loop.response(1e4)))
         at = abs(complex(loop.response(fd)))
         if abs(20.0 * math.log10(at / ref)) > flat_band_db:
             return False
-        phase = np.degrees(np.unwrap(np.angle(loop.response(grid))))
-        phase_at = float(np.interp(math.log10(fd), np.log10(grid), phase))
+        # the exact phase at the beat: unwrapped from 1 Hz along a dense grid ending on it
+        path = np.geomspace(1.0, fd, 2 + math.ceil(400 * abs(math.log10(fd))))
+        phase_at = float(np.degrees(np.unwrap(np.angle(loop.response(path))))[-1])
         return phase_at + 180.0 >= min_phase_margin_deg
 
     for shift in sorted(candidates, reverse=True):

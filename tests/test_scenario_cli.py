@@ -356,6 +356,10 @@ def run_cli(*argv):
     return run(list(argv))
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
 class TestCli:
     SCN = str(SCENARIO_DIR / "zero_span_locked.scenario")
 
@@ -475,6 +479,78 @@ class TestCli:
         ) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error [validation]: parametric gain"), err
+
+    @pytest.mark.parametrize("row", ["0.3,-5,1e300", "0.3,-1e300,5", "0.3,-5,3000"])
+    def test_fit_level_beyond_the_model_is_validation_error(self, tmp_path, capsys, row):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text(f"pump_w,squeezing_db,antisqueezing_db\n0.1,-3,5\n0.2,-5,8\n{row}\n")
+        assert run_cli(
+            "fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet"
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [validation]: dB levels"), err
+        assert not (tmp_path / "fit_report.json").exists()
+
+    @pytest.mark.parametrize("scenario", ["zero_span_locked", "zero_span_scanned"])
+    @pytest.mark.parametrize("shot", ["-83000 dBm", "4000 dBm"])
+    def test_simulate_at_extreme_shot_noise_level(self, tmp_path, scenario, shot):
+        text = (SCENARIO_DIR / f"{scenario}.scenario").read_text()
+        scn = tmp_path / "extreme.scenario"
+        scn.write_text(text.replace("shot_noise_level = -83.0 dBm", f"shot_noise_level = {shot}"))
+        assert run_cli("simulate", str(scn), "--out-dir", str(tmp_path / "x"), "--quiet") == 0
+        assert run_cli("simulate", str(SCENARIO_DIR / f"{scenario}.scenario"),
+                       "--out-dir", str(tmp_path / "ref"), "--quiet") == 0
+
+        def results(name):
+            text = (tmp_path / name / "simulate_report.json").read_text()
+            return json.loads(text, parse_constant=_reject_constant)["results"]
+
+        got, ref = results("x"), results("ref")
+        assert all(math.isfinite(v) for v in got.values())
+        # every level relative to shot noise is the bundled one: same draws
+        shift = float(shot.split()[0]) - (-83.0)
+        assert got["trace_mean_dbm"] == pytest.approx(ref["trace_mean_dbm"] + shift, abs=1e-6)
+        assert got["shot_mean_dbm"] == pytest.approx(ref["shot_mean_dbm"] + shift, abs=1e-6)
+        for key in set(ref) - {"trace_mean_dbm", "shot_mean_dbm"}:
+            assert got[key] == pytest.approx(ref[key], abs=1e-6), key
+
+    def test_optimize_refuses_an_optimum_below_the_oracle_grid(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL.replace("660 mW", "1 uW").replace("820 percent", "1e7 percent"))
+        assert run_cli("optimize", str(bad), "--out-dir", str(tmp_path), "--quiet") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [infeasible]: optimal pump power"), err
+
+    def test_optimize_oracle_stops_below_the_gain_limit(self, tmp_path):
+        # 2 sqrt(alpha P) passes log(float max) at P = 1.8 W, inside the 2 W grid
+        scn = tmp_path / "steep.scenario"
+        scn.write_text(MINIMAL.replace("660 mW", "1 mW").replace("820 percent", "7e6 percent")
+                       .replace("0.8 deg", "0.1 deg"))
+        assert run_cli("optimize", str(scn), "--out-dir", str(tmp_path), "--quiet") == 0
+        r = json.loads((tmp_path / "optimize_report.json").read_text())["results"]
+        assert r["grid_oracle_pump_w"] == pytest.approx(r["optimal_pump_w"], abs=1e-6)
+
+    @pytest.mark.parametrize("center", ["0 Hz", "-11 MHz"])
+    def test_non_positive_center_frequency_is_validation_error(self, tmp_path, capsys, center):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL.replace("center_frequency = 11 MHz", f"center_frequency = {center}"))
+        assert run_cli("report", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "center_frequency must be > 0" in err[0], err
+
+    @pytest.mark.parametrize("command", ["report", "budget", "simulate", "sweep"])
+    def test_steep_circuit_slope_is_validation_error(self, tmp_path, capsys, command):
+        # the circuit shape overflows above the 30 MHz corner, at the 40 MHz center
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(
+            (SCENARIO_DIR / "zero_span_locked.scenario").read_text()
+            .replace("center_frequency = 11 MHz", "center_frequency = 40 MHz")
+            .replace("clearance_frequency = 11 MHz",
+                     "clearance_frequency = 11 MHz\ncircuit_slope = 1e5 dB_per_decade")
+        )
+        assert run_cli(command, str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [validation]: circuit_slope"), err
 
     @pytest.mark.parametrize(
         "value", ["1e300 Hz", "0 Hz"], ids=["overflowing_square", "zero"]
