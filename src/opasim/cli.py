@@ -32,6 +32,7 @@ from .detection import (
 from .errors import DomainError, InfeasibleError, ToolError
 from .fitting import (
     _GRID_STEP_W,
+    _grid_end,
     PumpSweepPoint,
     fit_pump_sweep,
     grid_search_optimal_pump,
@@ -243,6 +244,10 @@ def _cmd_optimize(bundle, report, out_dir, args):
     if op.pump_power_w < _GRID_STEP_W:
         raise InfeasibleError(f"optimal pump power {op.pump_power_w:.6g} W lies below the grid "
                               f"oracle's first point, {_GRID_STEP_W} W, so the oracle cannot check it")
+    grid_end = _grid_end(alpha)
+    if op.pump_power_w > grid_end:
+        raise InfeasibleError(f"optimal pump power {op.pump_power_w:.6g} W lies above the grid "
+                              f"oracle's last point, {grid_end:.6g} W, so the oracle cannot check it")
     oracle = grid_search_optimal_pump(eta, alpha, theta)
     report.add("optimal_pump_w", op.pump_power_w)
     report.add("grid_oracle_pump_w", oracle)

@@ -282,13 +282,18 @@ def trace_extrema(trace: Trace) -> tuple[float, float]:
     noise; a 9-point moving average in linear power removes that selection
     bias.  The lower envelope is sharp (anti-squeezed power grows
     quadratically off the null), so smoothing would blend it away and the
-    raw minimum is the better estimator there.
+    raw minimum is the better estimator there.  A trace of fewer than 9
+    points is one window, so its upper envelope is its mean, which is never
+    below its minimum.
     """
     # linear power relative to the trace's top, so no level overflows
     top = trace.values_dbm.max()
     lin = 10.0 ** ((trace.values_dbm - top) / 10.0)
-    smoothed = np.convolve(lin, np.full(9, 1.0 / 9), mode="valid")
-    return float(top + 10.0 * np.log10(smoothed.max())), float(trace.values_dbm.min())
+    if lin.size >= 9:
+        upper = np.convolve(lin, np.full(9, 1.0 / 9), mode="valid").max()
+    else:
+        upper = lin.mean()
+    return float(top + 10.0 * np.log10(upper)), float(trace.values_dbm.min())
 
 
 def select_measurement_frequency(sweep: FrequencySweep) -> float:

@@ -103,28 +103,32 @@ def model_levels_db(powers, eta: float, alpha: float, theta: float):
     return 10.0 * np.log10(mm), 10.0 * np.log10(mp)
 
 
-def _residuals_and_jacobian(x, powers, sq_db, anti_db):
-    """dB residuals of both branches at x = (eta, alpha, s) and their
-    Jacobian in x, from one evaluation of the branches.  The mix is linear,
-    so each column is the mix of the branch derivatives over the mixed
-    level."""
+def _stacked_levels(x, root_p, data):
+    """dB residuals of both branches at x = (eta, alpha, s), stacked, with
+    the pieces _jacobian needs.  root_p is (-sqrt P, reversed +sqrt P) and
+    data (sq_db, reversed anti_db), so a stacked vector reversed pairs each
+    row with the other branch at the same pump power."""
     eta, alpha, s = x
-    g = 2.0 * np.sqrt(alpha * powers)
-    ep, em = np.exp(g), np.exp(-g)
-    rp, rm = nz.lossy(ep, eta), nz.lossy(em, eta)
-    mm, mp = nz.mix(rm, rp, s)
-    res = np.concatenate([10.0 * np.log10(mm) - sq_db, 10.0 * np.log10(mp) - anti_db])
-    dg = np.sqrt(powers / alpha)  # d g / d alpha
-    n = powers.size
-    jac = np.empty((2 * n, 3))
-    jac[:n, 0], jac[n:, 0] = nz.mix(em - 1.0, ep - 1.0, s)
-    jac[:n, 1], jac[n:, 1] = nz.mix(-eta * em * dg, eta * ep * dg, s)
+    e = np.exp((2.0 * math.sqrt(alpha)) * root_p)  # (e^-g, e^g)
+    r = nz.lossy(e, eta)
+    mixed = r * (1.0 - s) + r[::-1] * s  # nz.mix over the stacked branches
+    return 10.0 * np.log10(mixed) - data, (e, r, mixed)
+
+
+def _jacobian(x, root_p, e, r, mixed):
+    """Jacobian in x of the _stacked_levels residuals, from its pieces.  The
+    mix is linear, so each column is the mix of the branch derivatives over
+    the mixed level."""
+    eta, alpha, s = x
+    jac = np.empty((3, root_p.size))
+    jac[0] = e - 1.0  # d R / d eta of each branch
+    jac[1] = e * root_p  # d R / d alpha over eta / sqrt(alpha)
+    jac[:2] = jac[:2] * (1.0 - s) + jac[:2, ::-1] * s
+    jac[1] *= eta / math.sqrt(alpha)
     # the s column stays nonzero at s = 0, so theta = 0 is no stationary trap
-    jac[:n, 2] = rp - rm
-    jac[n:, 2] = rm - rp
-    jac /= np.concatenate((mm, mp))[:, None]  # the mixed levels
-    jac *= _DB
-    return res, jac
+    jac[2] = r[::-1] - r
+    jac *= _DB / mixed
+    return jac.T
 
 
 # Largest gain g = 2 sqrt(alpha P) for which J^T J stays finite with
@@ -150,7 +154,36 @@ _STEP_TOL = 1e-9  # relative step
 _KKT_TOL = 1e-10  # projected, box-scaled gradient over sqrt(cost)
 
 
-def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
+def _cholesky_solve(a, b):
+    """Solution of a y = b for a small symmetric positive-definite a (lists
+    of floats), by a Cholesky factorization a = L L^T on floats; None when
+    a pivot is not positive."""
+    low, y = [], []
+    for i, (a_row, b_i) in enumerate(zip(a, b)):
+        row = []
+        for j in range(i):
+            v = a_row[j]
+            for l_ik, l_jk in zip(row, low[j]):
+                v -= l_ik * l_jk
+            row.append(v / low[j][j])
+        v = a_row[i]
+        for l_ik in row:
+            v -= l_ik * l_ik
+        if not v > 0.0:
+            return None
+        row.append(math.sqrt(v))
+        low.append(row)
+        for l_ik, y_k in zip(row, y):  # L z = b
+            b_i -= l_ik * y_k
+        y.append(b_i / row[i])
+    for i in reversed(range(len(y))):  # L^T y = z
+        for k in range(i + 1, len(y)):
+            y[i] -= low[k][i] * y[k]
+        y[i] /= low[i][i]
+    return y
+
+
+def _levenberg_marquardt(x0, root_p, data, lo, hi):
     """Box-constrained Levenberg-Marquardt from x0 in (eta, alpha, s).
 
     Each step fixes the parameters that sit on a bound with the descent
@@ -160,44 +193,48 @@ def _levenberg_marquardt(x0, powers, sq_db, anti_db, lo, hi):
     projected gradient, scaled by the box width, is below
     _KKT_TOL * sqrt(cost): a KKT test, which ends a fit whose first-order
     conditions already hold (such as one on a corner of the box) without a
-    further step.
+    further step.  The step logic runs on floats over the 3 parameters, and
+    the Jacobian is built only at the points a step accepts.
     """
-    width = hi - lo
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    res, jac = _residuals_and_jacobian(x, powers, sq_db, anti_db)
+    width = [h - l for l, h in zip(lo, hi)]
+    x = [min(max(float(v), l), h) for v, l, h in zip(x0, lo, hi)]
+    res, levels = _stacked_levels(x, root_p, data)
     cost = float(res @ res)
+    jac = _jacobian(x, root_p, *levels)
     lam = 1e-3
     converged = False
     it = 0
     while True:
-        jtr = jac.T @ res
-        blocked = ((x <= lo) & (jtr > 0)) | ((x >= hi) & (jtr < 0))
-        free = ~blocked
-        if np.linalg.norm(jtr[free] * width[free]) <= _KKT_TOL * math.sqrt(cost):
+        jtr = (jac.T @ res).tolist()
+        free = [k for k in range(3)
+                if not ((x[k] <= lo[k] and jtr[k] > 0) or (x[k] >= hi[k] and jtr[k] < 0))]
+        if math.hypot(*[jtr[k] * width[k] for k in free]) <= _KKT_TOL * math.sqrt(cost):
             converged = True
             break
         if it == _MAX_ITER:
             break
         it += 1
-        jtj = (jac.T @ jac)[np.ix_(free, free)]
-        damping = np.diag(np.diag(jtj))
+        jtj = (jac.T @ jac).tolist()
+        rhs = [-jtr[k] for k in free]
         for _ in range(30):
-            step = np.zeros(3)
-            try:
-                step[free] = np.linalg.solve(jtj + lam * damping, -jtr[free])
-            except np.linalg.LinAlgError:
+            damped = [[jtj[i][j] + lam * jtj[i][j] if i == j else jtj[i][j] for j in free] for i in free]
+            step = _cholesky_solve(damped, rhs)
+            if step is None:  # not positive definite
                 lam *= 10.0
                 continue
-            x_new = np.clip(x + step, lo, hi)
-            res_new, jac_new = _residuals_and_jacobian(x_new, powers, sq_db, anti_db)
+            x_new = x.copy()
+            for k, dk in zip(free, step):
+                x_new[k] = min(max(x[k] + dk, lo[k]), hi[k])
+            res_new, levels = _stacked_levels(x_new, root_p, data)
             cost_new = float(res_new @ res_new)
             if cost_new <= cost:
                 break
             lam *= 4.0
         else:
             break
-        rel_step = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-30)
-        x, res, jac, cost = x_new, res_new, jac_new, cost_new
+        rel_step = math.hypot(*[a - b for a, b in zip(x_new, x)]) / max(math.hypot(*x), 1e-30)
+        x, res, cost = x_new, res_new, cost_new
+        jac = _jacobian(x, root_p, *levels)
         lam = max(lam / 3.0, 1e-12)
         if rel_step < _STEP_TOL:
             converged = True
@@ -238,15 +275,18 @@ def fit_pump_sweep(
     if not worst <= _MAX_LEVEL_DB:  # NaN fails too
         raise DomainError(f"dB levels must lie within +-{_MAX_LEVEL_DB:.1f} dB, got {worst!r}")
 
-    lo = np.array([bounds.eta_min, bounds.alpha_min, 0.0])
-    hi = np.array([bounds.eta_max, bounds.alpha_max, nz.sin2(bounds.jitter_max_rad)])
+    lo = [bounds.eta_min, bounds.alpha_min, 0.0]
+    hi = [bounds.eta_max, bounds.alpha_max, nz.sin2(bounds.jitter_max_rad)]
     if initial is None:
-        x0 = (lo + hi) / 2.0
+        x0 = [(l + h) / 2.0 for l, h in zip(lo, hi)]
     else:
         eta0, alpha0, theta0 = initial
-        x0 = np.array([eta0, alpha0, nz.sin2(theta0)])
-    x, jac, cost, converged, it = _levenberg_marquardt(x0, powers, sq, anti, lo, hi)
-    s = float(x[2])
+        x0 = [eta0, alpha0, nz.sin2(theta0)]
+    root_p = np.sqrt(powers)
+    root_p = np.concatenate((-root_p, root_p[::-1]))
+    x, jac, cost, converged, it = _levenberg_marquardt(
+        x0, root_p, np.concatenate((sq, anti[::-1])), lo, hi)
+    s = x[2]
     theta = math.asin(math.sqrt(s))
     try:
         cov = (cost / max(sq.size + anti.size - 3, 1)) * np.linalg.inv(jac.T @ jac)
@@ -302,13 +342,24 @@ def optimal_pump_power(
 
 
 _GRID_STEP_W = 1e-4  # the grid oracle's step and first point
+_GRID_MAX_W = 2.0  # the grid oracle's default last point
+
+
+def _grid_end(alpha: float, p_max: float = _GRID_MAX_W) -> float:
+    """The last pump power the grid oracle searches: p_max, or a step below
+    the pump power where the gain 2 sqrt(alpha P) reaches nz._MAX_GAIN."""
+    if 4.0 * alpha * p_max > nz._MAX_GAIN**2:
+        p_max = _GRID_STEP_W * (math.floor(nz._MAX_GAIN**2 / (4.0 * alpha * _GRID_STEP_W)) - 1)
+        if p_max < _GRID_STEP_W:
+            raise InfeasibleError(f"the gain limit lies below the grid's first point, {_GRID_STEP_W} W")
+    return p_max
 
 
 def grid_search_optimal_pump(
     eta: float,
     alpha: float,
     theta_rad: float,
-    p_max: float = 2.0,
+    p_max: float = _GRID_MAX_W,
 ) -> float:
     """Brute-force oracle for the optimal pump power: coarse 0.1-mW grid
     over (0, p_max], refined on a fine grid over the two cells around the
@@ -320,11 +371,7 @@ def grid_search_optimal_pump(
         raise UnboundedOptimumError("grid search needs theta > 0")
     s = nz.sin2(theta_rad)
     step = _GRID_STEP_W
-    if 4.0 * alpha * p_max > nz._MAX_GAIN**2:
-        p_max = step * (math.floor(nz._MAX_GAIN**2 / (4.0 * alpha * step)) - 1)
-        if p_max < step:
-            raise InfeasibleError(f"the gain limit lies below the grid's first point, {step} W")
-    grid = np.arange(step, p_max + step / 2, step)
+    grid = np.arange(step, _grid_end(alpha, p_max) + step / 2, step)
     i = _argmin_squeezed(grid, eta, alpha, s)
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)
     return float(fine[_argmin_squeezed(fine, eta, alpha, s)])

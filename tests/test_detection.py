@@ -166,6 +166,22 @@ class TestZeroSpan:
         assert mx - s.detector.shot_noise_dbm == pytest.approx(19.66, abs=0.2)
         assert mn - s.detector.shot_noise_dbm == pytest.approx(-8.35, abs=0.2)
 
+    @pytest.mark.parametrize("points", range(1, 12))
+    def test_short_trace_envelope_is_ordered(self, points):
+        rng = np.random.default_rng(points)
+        for values in (rng.normal(-70.0, 5.0, points), np.full(points, -70.0)):
+            mx, mn = det.trace_extrema(det.Trace(axis=np.arange(points), values_dbm=values))
+            assert mx >= mn, values
+
+    def test_long_trace_envelope_is_the_9_point_average(self, scanned_bundle):
+        values = det.simulate_zero_span(scanned_bundle.scenario).values_dbm
+        for trace_values in (values, values[:9], values[:100]):
+            top = trace_values.max()
+            lin = 10.0 ** ((trace_values - top) / 10.0)
+            want = top + 10.0 * np.log10(np.convolve(lin, np.full(9, 1.0 / 9), mode="valid").max())
+            got, _ = det.trace_extrema(det.Trace(axis=np.arange(trace_values.size), values_dbm=trace_values))
+            assert got == want
+
     def test_scanned_samples_below_five_sigma_bound(self, scanned_bundle):
         s = scanned_bundle.scenario
         trace = det.simulate_zero_span(s)

@@ -521,6 +521,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error [infeasible]: optimal pump power"), err
 
+    def test_optimize_refuses_an_optimum_above_the_oracle_grid(self, tmp_path, capsys):
+        # P* = 10.08 W, above the grid's last point, 2 W
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL.replace("820 percent", "100 percent").replace("0.8 deg", "0.1 deg"))
+        assert run_cli("optimize", str(bad), "--out-dir", str(tmp_path), "--quiet") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [infeasible]: optimal pump power"), err
+        assert "last point" in err[0], err
+
     def test_optimize_oracle_stops_below_the_gain_limit(self, tmp_path):
         # 2 sqrt(alpha P) passes log(float max) at P = 1.8 W, inside the 2 W grid
         scn = tmp_path / "steep.scenario"
@@ -673,6 +682,15 @@ class TestCli:
         assert r["trace_max_db"] == pytest.approx(top - shot, abs=1e-6)
         assert r["trace_min_db"] == pytest.approx(bottom - shot, abs=1e-6)
         assert r["trace_max_db"] > 15.0 and r["trace_min_db"] < -8.0
+
+    def test_scanned_simulate_short_trace_extrema_ordered(self, tmp_path):
+        # a 5-point trace is shorter than the 9-point smoothing window
+        scn = tmp_path / "short.scenario"
+        scn.write_text((SCENARIO_DIR / "zero_span_scanned.scenario").read_text()
+                       .replace("points = 1000", "points = 5"))
+        assert run_cli("simulate", str(scn), "--out-dir", str(tmp_path), "--quiet") == 0
+        r = json.loads((tmp_path / "simulate_report.json").read_text())["results"]
+        assert r["trace_max_db"] >= r["trace_min_db"]
 
     def test_locked_simulate_report_keys(self, tmp_path):
         assert run_cli("simulate", self.SCN, "--out-dir", str(tmp_path), "--quiet") == 0
