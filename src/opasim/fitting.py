@@ -387,13 +387,30 @@ _GRID_BLOCK = 5120
 
 def _argmin_squeezed(powers: np.ndarray, eta: float, alpha: float, s: float) -> int:
     """np.argmin of the squeezed level R'- of _mixed_pair over powers, by
-    the same operations in the same order, block by block: the first index
-    of the minimum, or of the first NaN."""
+    the same operations in the same order, block by block in two buffers
+    updated in place: the first index of the minimum, or of the first
+    NaN."""
     c = 1.0 - s
+    loss = 1.0 - eta  # nz.lossy(r, eta) = (1 - eta) + eta * r
+    size = min(powers.size, _GRID_BLOCK)
+    g_buf, level_buf = np.empty(size), np.empty(size)
     best, best_i = math.inf, 0
     for start in range(0, powers.size, _GRID_BLOCK):
-        g = 2.0 * np.sqrt(alpha * powers[start:start + _GRID_BLOCK])
-        level = nz.lossy(np.exp(-g), eta) * c + nz.lossy(np.exp(g), eta) * s
+        block = powers[start:start + _GRID_BLOCK]
+        g, level = g_buf[:block.size], level_buf[:block.size]
+        np.multiply(alpha, block, out=g)
+        np.sqrt(g, out=g)
+        g *= 2.0
+        np.negative(g, out=level)
+        np.exp(level, out=level)  # the squeezed branch, e^-g
+        level *= eta
+        level += loss
+        level *= c
+        np.exp(g, out=g)  # the anti-squeezed branch, e^g
+        g *= eta
+        g += loss
+        g *= s
+        level += g
         j = int(np.argmin(level))
         if not level[j] >= best:  # smaller, or NaN
             best, best_i = level[j], start + j

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -54,6 +55,8 @@ class TransferFunction:
     def __post_init__(self):
         object.__setattr__(self, "num", tuple(float(c) for c in self.num))
         object.__setattr__(self, "den", tuple(float(c) for c in self.den))
+        if not all(map(math.isfinite, self.num + self.den)):
+            raise DomainError(f"coefficients must be finite, got num {self.num}, den {self.den}")
         if not self.den or self.den[-1] == 0.0:
             raise DomainError("denominator needs a nonzero leading coefficient")
 
@@ -69,23 +72,59 @@ class TransferFunction:
 
     def response(self, f) -> np.ndarray:
         """Complex response at s = i 2 pi f (f in Hz, scalar or array)."""
-        f = np.asarray(f, dtype=float)
-        if (f <= 0).any():
-            raise DomainError("frequencies must be > 0 Hz")
-        s = 1j * 2.0 * np.pi * f
-        num = _horner(self.num, s)
-        den = _horner(self.den, s)
-        if (den == 0).any():
-            raise SingularityError("denominator vanishes on the evaluation grid")
-        return num / den
+        return _rational(self.num, self.den, _laplace_s(f))
+
+
+def _laplace_s(f) -> np.ndarray:
+    """s = i 2 pi f for frequencies f > 0 Hz (scalar or array)."""
+    f = np.asarray(f, dtype=float)
+    if (f <= 0).any():
+        raise DomainError("frequencies must be > 0 Hz")
+    return (2j * math.pi) * f
+
+
+def _rational(num: tuple[float, ...], den: tuple[float, ...], s: np.ndarray) -> np.ndarray:
+    """num(s) / den(s) for ascending coefficients: a complex array shaped
+    like s."""
+    d = _horner(den, s)
+    if (d == 0).any():
+        raise SingularityError("denominator vanishes on the evaluation grid")
+    h = _horner(num, s)
+    h /= d
+    return h
 
 
 def _horner(coeffs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
-    """Polynomial with ascending coefficients, evaluated at s."""
-    out = np.zeros_like(s)
-    for c in reversed(coeffs):
-        out = out * s + c
+    """Polynomial with ascending coefficients at s, by Horner's rule from
+    the leading coefficient, in one array updated in place; a constant
+    fills an array shaped like s."""
+    if len(coeffs) < 2:
+        return np.full_like(s, coeffs[0] if coeffs else 0.0)
+    out = coeffs[-1] * s
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= s
+    out += coeffs[0]
     return out
+
+
+def _polymul(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    """Product of two polynomials with ascending coefficients."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _open_loop(controller: PidController, fast: TransferFunction,
+               slow: TransferFunction) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(num, den) of controller x (fast + slow), the delay-free open loop,
+    folded into one rational."""
+    c = controller.transfer_function()
+    plant = tuple(x + y for x, y in zip_longest(
+        _polymul(fast.num, slow.den), _polymul(slow.num, fast.den), fillvalue=0.0))
+    return _polymul(c.num, plant), _polymul(c.den, _polymul(fast.den, slow.den))
 
 
 @dataclass(frozen=True)
@@ -96,6 +135,8 @@ class PidController:
     ki: float = 0.0  # gain on 1/s, i.e. rad/s scale
 
     def __post_init__(self):
+        if not (math.isfinite(self.kp) and math.isfinite(self.ki)):
+            raise DomainError(f"PI gains must be finite, got kp {self.kp}, ki {self.ki}")
         if self.kp == 0.0 and self.ki == 0.0:
             raise DomainError("at least one PI gain must be nonzero")
 
@@ -120,16 +161,19 @@ class LoopModel:
     def __post_init__(self):
         if self.kind not in LOOP_KINDS:
             raise DomainError(f"kind must be one of {LOOP_KINDS}, got {self.kind!r}")
-        if self.loop_delay < 0:
-            raise DomainError(f"loop_delay must be >= 0, got {self.loop_delay}")
-        # the controller is fixed, so its transfer function is built once
-        object.__setattr__(self, "_controller_tf", self.controller.transfer_function())
+        if not 0 <= self.loop_delay < math.inf:
+            raise DomainError(f"loop_delay must be finite and >= 0, got {self.loop_delay}")
+        # the loop is frozen, so its parts are folded into one rational once
+        object.__setattr__(self, "_num_den",
+                           _open_loop(self.controller, self.fast_plant, self.slow_plant))
 
     def response(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        plant = self.fast_plant.response(f) + self.slow_plant.response(f)
-        out = self._controller_tf.response(f) * plant
-        return out * np.exp(-1j * 2.0 * np.pi * f * self.loop_delay)
+        """Open-loop response at s = i 2 pi f: the folded rational times the
+        delay factor exp(-s loop_delay)."""
+        s = _laplace_s(f)
+        h = _rational(*self._num_den, s)
+        h *= np.exp(s * -self.loop_delay)
+        return h
 
     @cached_property
     def _grid_analysis(self) -> tuple:
@@ -163,6 +207,11 @@ def log_frequency_grid(f_min: float = 1e3, f_max: float = 2e7, points_per_decade
     return np.logspace(math.log10(f_min), math.log10(f_max), n)
 
 
+# the grid the margins are searched on, 1 Hz to 20 MHz at 200 points/decade
+_MARGINS_GRID = log_frequency_grid(1.0, 2e7, 200)
+_MARGINS_GRID.flags.writeable = False
+
+
 def bode(system, frequencies) -> tuple[np.ndarray, np.ndarray]:
     """(gain_db, phase_deg) arrays: gain (dB) and unwrapped phase (deg) of
     any object with .response(f) at each frequency."""
@@ -179,6 +228,7 @@ def bode(system, frequencies) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unwrapped_phase_deg(system, f_grid: np.ndarray) -> np.ndarray:
+    """Unwrapped phase (deg) of any object with .response(f) on f_grid."""
     return np.degrees(np.unwrap(np.angle(system.response(f_grid))))
 
 
@@ -225,7 +275,7 @@ def _analyse(loop) -> tuple:
     to 20 MHz at 200 points/decade.  Each crossover is refined to 1e-3
     relative by one response call on a log grid across its bracketing grid
     cell, which also gives the response at the crossover."""
-    grid = log_frequency_grid(1.0, 2e7, 200)
+    grid = _MARGINS_GRID
     h = loop.response(grid)
     mag = np.abs(h)
     phase = np.degrees(np.unwrap(np.angle(h)))
@@ -252,7 +302,7 @@ def _analyse(loop) -> tuple:
             k = _crossing_index(np.log10(np.abs(hf)))
         gain_crossover = float(f[k])
         # phase at the crossover, continued from the nearest grid point
-        phase_margin = 180.0 + phase[i] + math.degrees(np.angle(hf[k] / h[i]))
+        phase_margin = float(180.0 + phase[i] + math.degrees(np.angle(hf[k] / h[i])))
 
     return grid, h, phase, StabilityMargins(
         phase_crossover_hz=phase_crossover,
@@ -266,7 +316,7 @@ def demod_frequency(shift_hz: float, loop_kind: str) -> float:
     """Beat frequency seen by a lock for a given AOM shift.  The squeezer
     lock beats at twice the shift (difference-frequency process in the OPA);
     the LO lock beats at the shift itself."""
-    if shift_hz <= 0:
+    if not 0 < shift_hz < math.inf:
         raise DomainError(f"shift must be > 0 Hz, got {shift_hz}")
     if loop_kind not in LOOP_KINDS:
         raise DomainError(f"unknown loop kind {loop_kind!r}")
@@ -289,7 +339,7 @@ def select_shift_frequency(
     cands = sorted(candidates)
     if not cands:
         raise NoFeasibleCandidateError("empty candidate list")
-    bad = [c for c in cands if not c > 0]
+    bad = [c for c in cands if not 0 < c < math.inf]
     if bad:
         raise DomainError(f"candidate shifts must be > 0 Hz, got {bad}")
 
@@ -300,11 +350,12 @@ def select_shift_frequency(
         keeps_margins = (m.gain_margin_db is None or m.gain_margin_db >= min_gain_margin_db) and (
             m.phase_margin_deg is None or m.phase_margin_deg >= min_phase_margin_deg
         )
-        beat = shifts * demod_frequency(1.0, loop.kind)  # linear in the shift
-        ref = np.abs(loop.response(1e4))  # the flat-band reference, 10 kHz
-        h_beat = loop.response(beat)
+        # the flat-band reference, 10 kHz, and the beats, linear in the shift
+        f = np.concatenate(((1e4,), shifts * demod_frequency(1.0, loop.kind)))
+        h_f = loop.response(f)
+        beat, h_beat = f[1:], h_f[1:]
         with np.errstate(divide="ignore"):
-            flat_db = 20.0 * np.log10(np.abs(h_beat) / ref)
+            flat_db = 20.0 * np.log10(np.abs(h_beat) / np.abs(h_f[0]))
         # phase at the beat, continued from the grid node at or below it
         i = np.maximum(np.searchsorted(grid, beat, side="right") - 1, 0)
         phase_at = phase[i] + np.degrees(np.angle(h_beat / h[i]))
@@ -341,10 +392,10 @@ class PhaseNoiseSpectrum:
     def __post_init__(self):
         if self.kind not in ("white", "one_over_f2", "table"):
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise DomainError("amplitude must be >= 0")
-        if not 0 < self.f_min < self.f_max:
-            raise DomainError("need 0 < f_min < f_max")
+        if not 0 <= self.amplitude < math.inf:
+            raise DomainError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0 < self.f_min < self.f_max < math.inf:
+            raise DomainError(f"need 0 < f_min < f_max < inf, got {self.f_min}, {self.f_max}")
         if self.kind == "table":
             if len(self.frequencies_hz) != len(self.densities) or len(self.densities) < 2:
                 raise DomainError("table spectrum needs >= 2 matched points")
@@ -392,7 +443,7 @@ def _suppressed_variance(noise: PhaseNoiseSpectrum, loop, points_per_decade: int
     turn (deg) of the loop phase between adjacent nodes."""
     knots = sorted({noise.f_min, noise.f_max}
                    | {f for f in noise.frequencies_hz if noise.f_min < f < noise.f_max})
-    edges = np.log(knots)
+    edges = np.log(knots).tolist()
     # intervals per panel: a multiple of 4, so both rules have even counts
     panels = [(a, b, 4 * max(1, math.ceil(points_per_decade * (b - a) / math.log(10.0) / 4)))
               for a, b in zip(edges[:-1], edges[1:])]
@@ -459,9 +510,9 @@ def _solve_loop_delay(controller, fast, slow, target_crossover_hz: float) -> flo
     node, the target itself, is read, so 4 points/decade suffice: the default
     loops turn at most ~17 deg between nodes, far inside the 180 deg that
     unwrapping allows."""
-    probe = LoopModel(controller=controller, fast_plant=fast, slow_plant=slow, loop_delay=0.0)
     grid = log_frequency_grid(1.0, target_crossover_hz, 4)
-    phase_nodelay = _unwrapped_phase_deg(probe, grid)[-1]
+    h = _rational(*_open_loop(controller, fast, slow), _laplace_s(grid))
+    phase_nodelay = float(np.degrees(np.unwrap(np.angle(h)))[-1])
     deficit = 180.0 + phase_nodelay  # phase still to be eaten by the delay
     if deficit <= 0:
         raise DomainError(

@@ -62,6 +62,11 @@ class OpaParams:
     transmittance: float
 
     def __post_init__(self):
+        alpha, power = self.shg_efficiency, self.pump_power
+        # valid input passes here; the checks below say what is wrong
+        if (0.0 <= self.transmittance <= 1.0 and alpha >= 0.0 and power >= 0.0
+                and 2.0 * math.sqrt(alpha * power) <= _MAX_GAIN):
+            return
         _check_finite("shg_efficiency", self.shg_efficiency)
         _check_finite("pump_power", self.pump_power)
         _check_finite("transmittance", self.transmittance)
@@ -86,6 +91,8 @@ class QuadraturePair:
     sq: float
 
     def __post_init__(self):
+        if 0.0 < self.anti < math.inf and 0.0 < self.sq < math.inf:
+            return
         for name, v in (("anti", self.anti), ("sq", self.sq)):
             _check_finite(name, v)
             if v <= 0:
@@ -99,6 +106,8 @@ class PhaseJitter:
     theta: float
 
     def __post_init__(self):
+        if 0.0 <= self.theta <= math.pi / 2:
+            return
         _check_finite("theta", self.theta)
         # pi/2 is allowed as the quadrature-swap limit
         if not 0.0 <= self.theta <= math.pi / 2:
@@ -175,7 +184,7 @@ def jitter_mix(q: QuadraturePair, j: PhaseJitter) -> QuadraturePair:
 
 
 def to_db(ratio: float) -> float:
-    if not math.isfinite(ratio) or ratio <= 0:
+    if not 0.0 < ratio < math.inf:
         raise DomainError(f"power ratio must be > 0 and finite, got {ratio!r}")
     return 10.0 * math.log10(ratio)
 

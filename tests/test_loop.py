@@ -9,6 +9,7 @@ from opasim.errors import (
     InstabilityError,
     IntegrationError,
     NoFeasibleCandidateError,
+    SingularityError,
 )
 from opasim.noise import PhaseJitter
 
@@ -85,6 +86,108 @@ class TestTransferFunction:
     def test_invalid_denominator(self):
         with pytest.raises(DomainError):
             lp.TransferFunction((1.0,), (0.0,))
+
+
+def product_response(loop, f):
+    """The open loop as the product of its parts: controller x (fast +
+    slow) x delay, each part evaluated on its own."""
+    plant = loop.fast_plant.response(f) + loop.slow_plant.response(f)
+    return (loop.controller.transfer_function().response(f) * plant
+            * np.exp(-2j * np.pi * f * loop.loop_delay))
+
+
+def random_loop(rng):
+    """A PI controller (or P alone) driving a low-pass fast path and a
+    low-pass or absent slow path, with a delay of up to 0.5 us."""
+    ki = 0.0 if rng.random() < 0.2 else 2 * math.pi * 10 ** rng.uniform(0.0, 4.0)
+    slow = (lp.TransferFunction.flat(0.0) if rng.random() < 0.2 else
+            lp.TransferFunction.low_pass(10 ** rng.uniform(0.0, 3.0), 10 ** rng.uniform(-2.0, 0.0)))
+    return lp.LoopModel(
+        controller=lp.PidController(kp=10 ** rng.uniform(-1.0, 1.0), ki=ki),
+        fast_plant=lp.TransferFunction.low_pass(10 ** rng.uniform(5.0, 8.0), 10 ** rng.uniform(-2.0, 0.0)),
+        slow_plant=slow,
+        loop_delay=rng.uniform(0.0, 5e-7),
+    )
+
+
+class TestFoldedResponse:
+    """A LoopModel evaluates controller x (fast + slow) as one rational."""
+
+    def test_matches_product_on_random_loops(self):
+        rng = np.random.default_rng(19)
+        f = lp._MARGINS_GRID
+        for _ in range(200):
+            loop = random_loop(rng)
+            ref = product_response(loop, f)
+            assert np.all(np.abs(loop.response(f) - ref) <= 1e-13 * np.abs(ref))
+
+    def test_matches_product_on_bundled_loops(self, locked_bundle, scanned_bundle):
+        f = np.geomspace(0.1, 1e8, 2001)
+        for loop in locked_bundle.loops + scanned_bundle.loops:
+            ref = product_response(loop, f)
+            assert np.all(np.abs(loop.response(f) - ref) <= 1e-13 * np.abs(ref))
+
+    def test_scalar_frequency(self):
+        loop = lp.default_lock_loops()[0]
+        h = loop.response(1.3e6)
+        assert np.shape(h) == ()
+        assert complex(h) == pytest.approx(complex(product_response(loop, 1.3e6)), rel=1e-13)
+
+    @pytest.mark.parametrize("f", [2.5, [1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]]])
+    def test_constant_polynomial_response_is_shaped_like_f(self, f):
+        h = lp.TransferFunction.flat(0.3).response(f)
+        assert np.shape(h) == np.shape(f) and np.asarray(h).dtype == complex
+        assert np.all(h == 0.3)
+
+    def test_nonpositive_frequency_and_vanishing_denominator(self):
+        with pytest.raises(DomainError):
+            lp.default_lock_loops()[0].response([1.0, 0.0])
+        with pytest.raises(SingularityError):
+            lp.TransferFunction((1.0,), (1.0, 0.0, 1.0 / (2 * math.pi) ** 2)).response([0.5, 1.0])
+
+    def test_margins_grid_is_read_only(self):
+        grid = lp._MARGINS_GRID
+        assert grid.size == 1461 and grid[0] == 1.0 and grid[-1] == pytest.approx(2e7, rel=1e-12)
+        with pytest.raises(ValueError):
+            grid[0] = 2.0
+        assert lp._grid_analysis(lp.default_lock_loops()[0])[0] is grid
+
+
+class TestNonFiniteLoopInputs:
+    @pytest.mark.parametrize("num, den", [((math.nan,), (1.0,)), ((1.0,), (1.0, math.inf)),
+                                          ((1.0, -math.inf), (1.0, 2.0))])
+    def test_transfer_function_coefficients(self, num, den):
+        with pytest.raises(DomainError):
+            lp.TransferFunction(num, den)
+
+    @pytest.mark.parametrize("kp, ki", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_pi_gains(self, kp, ki):
+        with pytest.raises(DomainError):
+            lp.PidController(kp=kp, ki=ki)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_loop_delay(self, delay):
+        with pytest.raises(DomainError):
+            pure_delay_loop(delay)
+
+
+class TestLoopLayerFloats:
+    def test_margins_are_floats(self):
+        for loop in lp.default_lock_loops():
+            m = lp.stability_margins(loop)
+            assert all(type(x) is float for x in (m.phase_crossover_hz, m.gain_margin_db,
+                                                  m.gain_crossover_hz, m.phase_margin_deg))
+
+    def test_calibrated_amplitude_is_float(self):
+        template = lp.PhaseNoiseSpectrum(kind="one_over_f2", f_min=1.0, f_max=1e6)
+        spec = lp.calibrate_jitter_amplitude(lp.default_lock_loops()[0], PhaseJitter.from_degrees(0.8),
+                                             template)
+        assert type(spec.amplitude) is float
+
+    def test_integration_error_prints_a_float(self):
+        spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-6, f_min=1.0, f_max=1e4)
+        with pytest.raises(IntegrationError, match=r"returned nan$"):
+            lp.residual_jitter(spec, NanLoop())
 
 
 class TestPidController:
@@ -260,6 +363,11 @@ class TestShiftSelection:
             with pytest.raises(DomainError):
                 lp.select_shift_frequency(loops, cands)
 
+    @pytest.mark.parametrize("cands", [[math.inf, 1e6], [1e6, -math.inf]])
+    def test_non_finite_candidate_rejected_up_front(self, cands):
+        with pytest.raises(DomainError, match="candidate shifts must be > 0 Hz"):
+            lp.select_shift_frequency(lp.default_lock_loops(), cands)
+
     def test_relaxing_margins_is_monotone(self):
         loops = lp.default_lock_loops()
         cands = [0.25e6, 0.5e6, 1e6, 2e6, 4e6]
@@ -389,6 +497,11 @@ class TestDemodFrequency:
             lp.demod_frequency(-1.0, "opa_probe")
         with pytest.raises(DomainError):
             lp.demod_frequency(1e6, "banana")
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(DomainError, match="shift must be > 0 Hz"):
+            lp.demod_frequency(shift, "opa_probe")
 
 
 class ZeroLoop:
@@ -547,6 +660,16 @@ class TestResidualJitter:
             lp.PhaseNoiseSpectrum(
                 kind="table", f_min=1.0, f_max=100.0, frequencies_hz=freqs, densities=dens
             )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"f_max": math.inf}, {"f_min": math.inf}, {"f_min": math.nan}, {"amplitude": math.nan},
+         {"amplitude": math.inf}],
+        ids=["inf_f_max", "inf_f_min", "nan_f_min", "nan_amplitude", "inf_amplitude"],
+    )
+    def test_non_finite_band_and_amplitude_rejected(self, fields):
+        with pytest.raises(DomainError):
+            lp.PhaseNoiseSpectrum(kind="white", **{"amplitude": 1e-12, "f_min": 1.0, **fields})
 
     def test_table_spectrum_interpolates(self):
         spec = lp.PhaseNoiseSpectrum(

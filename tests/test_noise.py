@@ -256,3 +256,55 @@ class TestLossEquivalents:
     def test_zero_clearance_flagged(self):
         with pytest.warns(UserWarning):
             assert nz.clearance_to_equiv_loss(0.0) == pytest.approx(1.0, rel=1e-12)
+
+
+INF, NAN = math.inf, math.nan
+
+
+class TestValidationMessages:
+    """Valid scalars pass one comparison chain; every invalid one still gets
+    the message that names its fault."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: nz.OpaParams(NAN, 1.0, 0.5), "shg_efficiency must be finite, got nan"),
+            (lambda: nz.OpaParams(1.0, INF, 0.5), "pump_power must be finite, got inf"),
+            (lambda: nz.OpaParams(1.0, 1.0, -INF), "transmittance must be finite, got -inf"),
+            (lambda: nz.OpaParams(-1.0, 1.0, 0.5), "shg_efficiency must be >= 0, got -1.0"),
+            (lambda: nz.OpaParams(1.0, -0.5, 0.5), "pump_power must be >= 0, got -0.5"),
+            (lambda: nz.OpaParams(1.0, 1.0, 1.5), "transmittance must be in [0, 1], got 1.5"),
+            (lambda: nz.OpaParams(NAN, -1.0, 2.0), "shg_efficiency must be finite, got nan"),
+            (lambda: nz.OpaParams(1e5, 2.0, 0.5),
+             "parametric gain 2 sqrt(alpha P) must be <= 709.8, got alpha 100000.0 /W at P 2.0 W"),
+            (lambda: nz.OpaParams(1e300, 1e300, 0.5),
+             "parametric gain 2 sqrt(alpha P) must be <= 709.8, got alpha 1e+300 /W at P 1e+300 W"),
+            (lambda: nz.QuadraturePair(NAN, 1.0), "anti must be finite, got nan"),
+            (lambda: nz.QuadraturePair(1.0, INF), "sq must be finite, got inf"),
+            (lambda: nz.QuadraturePair(-INF, 1.0), "anti must be finite, got -inf"),
+            (lambda: nz.QuadraturePair(2.0, -0.1), "sq variance must be > 0, got -0.1"),
+            (lambda: nz.QuadraturePair(0.0, 1.0), "anti variance must be > 0, got 0.0"),
+            (lambda: nz.PhaseJitter(NAN), "theta must be finite, got nan"),
+            (lambda: nz.PhaseJitter(INF), "theta must be finite, got inf"),
+            (lambda: nz.PhaseJitter(-INF), "theta must be finite, got -inf"),
+            (lambda: nz.PhaseJitter(-0.1), "theta must be in [0, pi/2] rad, got -0.1"),
+            (lambda: nz.PhaseJitter(2.0), "theta must be in [0, pi/2] rad, got 2.0"),
+            (lambda: nz.to_db(NAN), "power ratio must be > 0 and finite, got nan"),
+            (lambda: nz.to_db(INF), "power ratio must be > 0 and finite, got inf"),
+            (lambda: nz.to_db(-INF), "power ratio must be > 0 and finite, got -inf"),
+            (lambda: nz.to_db(-1.0), "power ratio must be > 0 and finite, got -1.0"),
+            (lambda: nz.to_db(0.0), "power ratio must be > 0 and finite, got 0.0"),
+        ],
+    )
+    def test_invalid_value_message(self, make, message):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_boundary_values_accepted(self):
+        nz.OpaParams(0.0, 0.0, 0.0)
+        nz.OpaParams(1.0, (nz._MAX_GAIN / 2.0) ** 2, 1.0)
+        nz.QuadraturePair(5e-324, 1.7e308)
+        nz.PhaseJitter(0.0)
+        nz.PhaseJitter(math.pi / 2)
+        assert nz.to_db(5e-324) == pytest.approx(-3233.0, abs=0.1)
