@@ -12,7 +12,6 @@ from .noise import (  # noqa: F401
     PhaseJitter,
     QuadraturePair,
     apply_loss,
-    cascade_losses,
     clearance_to_equiv_loss,
     from_db,
     invert_loss,
@@ -54,7 +53,6 @@ from .fitting import (  # noqa: F401
     fit_pump_sweep,
     grid_search_optimal_pump,
     loss_budget_report,
-    model_levels_db,
     optimal_pump_power,
 )
 from .scenario import ScenarioBundle, load_scenario, loads_scenario, serialize_scenario  # noqa: F401

@@ -92,17 +92,15 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _write_csv(path: Path, header: str, *columns):
+    """A CSV file of the header, then one row per index of the columns."""
+    rows = map(",".join, zip(*(map(_fmt, column) for column in columns)))
+    path.write_text("\n".join((header, *rows)) + "\n")
+
+
 def _write_trace_csv(path: Path, trace, digest: str):
-    lines = [f"# scenario_digest={digest} seed={trace.seed} label={trace.label}"]
-    lines.append("axis,value_dbm")
-    lines += [f"{_fmt(a)},{_fmt(v)}" for a, v in zip(trace.axis, trace.values_dbm)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_bode_csv(path: Path, f, gain_db, phase_deg):
-    lines = ["frequency_hz,gain_db,phase_deg"]
-    lines += [",".join(map(_fmt, row)) for row in np.column_stack((f, gain_db, phase_deg)).tolist()]
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, f"# scenario_digest={digest} seed={trace.seed} label={trace.label}\naxis,value_dbm",
+               trace.axis, trace.values_dbm)
 
 
 def _read_pump_sweep_csv(path: Path) -> list[PumpSweepPoint]:
@@ -125,11 +123,8 @@ def _pump_sweep_point(path: Path, i: int, line: str) -> PumpSweepPoint:
     if len(parts) != 3:
         raise DomainError(f"{path}:{i}: expected pump_w,squeezing_db,antisqueezing_db")
     try:
-        values = [float(p) for p in parts]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("values must be finite numbers")
-        return PumpSweepPoint(*values)
-    except ValueError as exc:
+        return PumpSweepPoint(*map(float, parts))
+    except ValueError as exc:  # a DomainError is one too
         raise DomainError(f"{path}:{i}: {exc}") from exc
 
 
@@ -190,7 +185,8 @@ def _cmd_sweep(bundle, report, out_dir, args):
 def _cmd_bode(bundle, report, out_dir, args):
     grid = log_frequency_grid()
     for loop in bundle.loops:
-        _write_bode_csv(out_dir / f"bode_{loop.kind}.csv", grid, *bode(loop, grid))
+        _write_csv(out_dir / f"bode_{loop.kind}.csv", "frequency_hz,gain_db,phase_deg",
+                   grid, *bode(loop, grid))
         report.add(f"{loop.kind}_points", grid.size)
 
 
@@ -336,7 +332,9 @@ def run(argv=None) -> int:
         if not args.quiet:
             sys.stdout.write(report.as_csv() if args.format == "csv" else report.as_kv())
         return 0
-    except ToolError as exc:
+    except (ToolError, OSError) as exc:
+        if isinstance(exc, OSError):  # an --out-dir that cannot be made or written
+            exc = DomainError(f"cannot write output: {exc}")
         sys.stderr.write(f"error [{exc.category}]: {exc}\n")
         return exc.exit_code
 

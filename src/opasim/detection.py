@@ -134,6 +134,8 @@ class AnalyzerSettings:
             raise DomainError("span must be >= 0")
         if self.sweep_time_s <= 0:
             raise DomainError("sweep_time must be > 0")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def video_averages(self) -> int:
@@ -157,8 +159,8 @@ class Scenario:
     def __post_init__(self):
         if self.lock_mode not in ("locked", "scanned"):
             raise DomainError(f"lock_mode must be 'locked' or 'scanned', got {self.lock_mode!r}")
-        if self.lock_mode == "scanned" and self.scan_rate_hz <= 0:
-            raise DomainError("scan_rate must be > 0 for scanned mode")
+        if self.lock_mode == "scanned" and not 0 < self.scan_rate_hz < math.inf:
+            raise DomainError(f"scan_rate must be finite and > 0 for scanned mode, got {self.scan_rate_hz}")
 
     @property
     def detection_transmittance(self) -> float:
@@ -190,6 +192,8 @@ def measured_noise_ratio(s: Scenario, f: float) -> tuple[float, float]:
     """(locked, anti-locked) displayed noise ratios at sideband frequency f:
     optical variances through the full loss chain and jitter mixing, with
     circuit noise added as electrical power on top."""
+    if not 0 < f < math.inf:
+        raise DomainError(f"frequency must be finite and > 0 Hz, got {f}")
     q = _optical_pair(s)
     n_circ = float(s.detector.circuit_ratio(f))
     return q.sq + n_circ, q.anti + n_circ

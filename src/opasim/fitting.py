@@ -15,7 +15,7 @@ or on a projected-gradient (KKT) test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "FitBounds",
     "FitResult",
     "OperatingPoint",
-    "model_levels_db",
     "fit_pump_sweep",
     "optimal_pump_power",
     "grid_search_optimal_pump",
@@ -46,7 +45,10 @@ class PumpSweepPoint:
     anti_squeezing_db: float
 
     def __post_init__(self):
-        if self.pump_power_w < 0:
+        if not (0.0 <= self.pump_power_w < math.inf and -math.inf < self.squeezing_db < math.inf
+                and -math.inf < self.anti_squeezing_db < math.inf):  # one comparison chain when valid
+            for field in fields(self):
+                nz._check_finite(field.name, getattr(self, field.name))
             raise DomainError(f"pump power must be >= 0, got {self.pump_power_w}")
 
 
@@ -61,8 +63,8 @@ class FitBounds:
     def __post_init__(self):
         if not 0 <= self.eta_min < self.eta_max <= 1:
             raise DomainError("need 0 <= eta_min < eta_max <= 1")
-        if not 0 < self.alpha_min < self.alpha_max:
-            raise DomainError("need 0 < alpha_min < alpha_max")
+        if not 0 < self.alpha_min < self.alpha_max < math.inf:
+            raise DomainError("need 0 < alpha_min < alpha_max < inf")
         if not 0 < self.jitter_max_rad < math.pi / 2:
             raise DomainError("jitter_max must be in (0, pi/2) rad")
 
@@ -95,12 +97,6 @@ def _mixed_pair(powers: np.ndarray, eta: float, alpha: float, s: float):
     linear in s = sin^2 theta."""
     g = 2.0 * np.sqrt(alpha * powers)
     return nz.mix(nz.lossy(np.exp(-g), eta), nz.lossy(np.exp(g), eta), s)
-
-
-def model_levels_db(powers, eta: float, alpha: float, theta: float):
-    """(squeezing_db, anti_squeezing_db) of the jitter-mixed model."""
-    mm, mp = _mixed_pair(np.asarray(powers, dtype=float), eta, alpha, nz.sin2(theta))
-    return 10.0 * np.log10(mm), 10.0 * np.log10(mp)
 
 
 def _stacked_levels(x, root_p, data):
@@ -367,6 +363,10 @@ def grid_search_optimal_pump(
     linear units, which share their argmin with the dB levels.  The grid
     ends a step below the pump power where the gain 2 sqrt(alpha P)
     reaches nz._MAX_GAIN, so every exp it takes is finite."""
+    if not (0.0 <= eta <= 1.0 and 0.0 < alpha < math.inf and theta_rad < math.pi / 2
+            and p_max >= _GRID_STEP_W):
+        raise DomainError(f"need 0 <= eta <= 1, 0 < alpha < inf, theta < pi/2 rad and p_max >= "
+                          f"{_GRID_STEP_W} W, got {eta}, {alpha} /W, {theta_rad} rad, {p_max} W")
     if theta_rad <= 0:
         raise UnboundedOptimumError("grid search needs theta > 0")
     s = nz.sin2(theta_rad)

@@ -78,18 +78,27 @@ class TransferFunction:
 def _laplace_s(f) -> np.ndarray:
     """s = i 2 pi f for frequencies f > 0 Hz (scalar or array)."""
     f = np.asarray(f, dtype=float)
-    if (f <= 0).any():
+    if not (f > 0).all():  # NaN fails too
         raise DomainError("frequencies must be > 0 Hz")
     return (2j * math.pi) * f
 
 
 def _rational(num: tuple[float, ...], den: tuple[float, ...], s: np.ndarray) -> np.ndarray:
     """num(s) / den(s) for ascending coefficients: a complex array shaped
-    like s."""
-    d = _horner(den, s)
+    like s.  A point where a polynomial overflows (only a huge |s| makes one
+    overflow, and the floating-point flags tell) takes z^(len(den) - len(num))
+    times the ratio of the reversed polynomials in z = 1/s instead."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            d, h = _horner(den, s), _horner(num, s)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, d, h = 1.0 / s, _horner(den, s), _horner(num, s)
+            huge = ~(np.isfinite(d) & np.isfinite(h))
+            d = np.where(huge, _horner(den[::-1], z), d)
+            h = np.where(huge, _horner(num[::-1], z) * z ** (len(den) - len(num)), h)
     if (d == 0).any():
         raise SingularityError("denominator vanishes on the evaluation grid")
-    h = _horner(num, s)
     h /= d
     return h
 
@@ -216,7 +225,7 @@ def bode(system, frequencies) -> tuple[np.ndarray, np.ndarray]:
     """(gain_db, phase_deg) arrays: gain (dB) and unwrapped phase (deg) of
     any object with .response(f) at each frequency."""
     f = np.asarray(frequencies, dtype=float)
-    if np.any(np.diff(f) <= 0):
+    if not (np.diff(f) > 0).all():  # NaN fails too
         raise DomainError("frequencies must be sorted strictly ascending")
     h = system.response(f)
     mag = np.abs(h)
@@ -225,11 +234,6 @@ def bode(system, frequencies) -> tuple[np.ndarray, np.ndarray]:
     gain_db = 20.0 * np.log10(mag)
     phase_deg = np.degrees(np.unwrap(np.angle(h)))
     return gain_db, phase_deg
-
-
-def _unwrapped_phase_deg(system, f_grid: np.ndarray) -> np.ndarray:
-    """Unwrapped phase (deg) of any object with .response(f) on f_grid."""
-    return np.degrees(np.unwrap(np.angle(system.response(f_grid))))
 
 
 _CROSSOVER_REL_TOL = 1e-3
@@ -255,19 +259,12 @@ def _crossing_index(target: np.ndarray) -> int:
     return 2 * int(j) + 1
 
 
-def stability_margins(loop) -> StabilityMargins:
-    """Stability margins of any object with .response(f); a LoopModel
-    computes them once and keeps them."""
-    return _grid_analysis(loop)[3]
+def stability_margins(loop: LoopModel) -> StabilityMargins:
+    """Stability margins of a loop, computed once and kept by it."""
+    return loop._grid_analysis[3]
 
 
-def _grid_analysis(loop) -> tuple:
-    """_analyse(loop), kept by a LoopModel and computed afresh for any
-    other object with .response(f)."""
-    return loop._grid_analysis if isinstance(loop, LoopModel) else _analyse(loop)
-
-
-def _analyse(loop) -> tuple:
+def _analyse(loop: LoopModel) -> tuple:
     """(grid, response, unwrapped phase in deg, margins) of a loop on the
     margins grid.  The margins: the phase crossover (lowest f where the
     unwrapped phase hits -180 deg) with its gain margin, and the first
@@ -334,8 +331,9 @@ def select_shift_frequency(
     in the flat-gain region (within flat_band_db of the gain at 10 kHz) and
     keeps both margins.  Higher is preferred so the locks can be driven as
     fast as the loops allow without oscillating."""
-    if min_gain_margin_db < 0 or min_phase_margin_deg < 0:
-        raise DomainError("margins must be >= 0")
+    if not (0 <= min_gain_margin_db < math.inf and 0 <= min_phase_margin_deg < math.inf
+            and 0 <= flat_band_db < math.inf):
+        raise DomainError("margins and flat band must be finite and >= 0")
     cands = sorted(candidates)
     if not cands:
         raise NoFeasibleCandidateError("empty candidate list")
@@ -346,7 +344,7 @@ def select_shift_frequency(
     shifts = np.array(cands)
     accepted = np.ones(shifts.size, dtype=bool)
     for loop in loops:
-        grid, h, phase, m = _grid_analysis(loop)
+        grid, h, phase, m = loop._grid_analysis
         keeps_margins = (m.gain_margin_db is None or m.gain_margin_db >= min_gain_margin_db) and (
             m.phase_margin_deg is None or m.phase_margin_deg >= min_phase_margin_deg
         )

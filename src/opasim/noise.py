@@ -36,7 +36,6 @@ __all__ = [
     "jitter_mix",
     "to_db",
     "from_db",
-    "cascade_losses",
     "apply_loss",
     "invert_loss",
     "visibility_to_loss",
@@ -142,7 +141,12 @@ class LossBudget:
 
     @property
     def transmittance(self) -> float:
-        return cascade_losses(self)
+        """Effective transmittance of the chain: the product of the
+        complements of its losses, in any order."""
+        t = 1.0
+        for e in self.elements:
+            t *= 1.0 - e.loss
+        return t
 
     @property
     def additive_total(self) -> float:
@@ -192,15 +196,6 @@ def to_db(ratio: float) -> float:
 def from_db(db: float) -> float:
     _check_finite("dB value", db)
     return math.exp(db * _LN10_OVER_10)
-
-
-def cascade_losses(budget: LossBudget) -> float:
-    """Effective transmittance of a chain of loss elements (product of
-    complements; order-independent)."""
-    t = 1.0
-    for e in budget.elements:
-        t *= 1.0 - e.loss
-    return t
 
 
 def apply_loss(q: QuadraturePair, transmittance: float) -> QuadraturePair:

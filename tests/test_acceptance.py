@@ -15,7 +15,7 @@ from opasim import fitting as ft
 from opasim import loop as lp
 from opasim import noise as nz
 
-from conftest import series
+from conftest import model_levels_db, series
 
 
 def check(label: str, ok: bool, detail: str = "") -> None:
@@ -88,10 +88,8 @@ def test_03_clearance_and_visibility_equivalents():
 
 
 def test_04_loss_budget_composition():
-    multiplicative = nz.cascade_losses(
-        nz.LossBudget(tuple(nz.LossElement(n, l) for n, l in
-                           [("a", 0.03), ("b", 0.03), ("c", 0.02)]))
-    )
+    multiplicative = nz.LossBudget(tuple(nz.LossElement(n, l) for n, l in
+                                         [("a", 0.03), ("b", 0.03), ("c", 0.02)])).transmittance
     composed_loss = 1.0 - multiplicative
     additive = 0.08 + 0.003 + 0.04
     ok = abs(composed_loss - 0.0779) < 1e-4 and abs(additive - 0.123) < 1e-12
@@ -169,7 +167,7 @@ def test_07_demodulation_mapping():
 def test_08_pump_sweep_fit_round_trip():
     true = (0.88, 8.2, math.radians(0.8))
     powers = np.linspace(0.1, 1.6, 8)
-    sq, anti = ft.model_levels_db(powers, *true)
+    sq, anti = model_levels_db(powers, *true)
 
     t0 = time.perf_counter()
     clean = [ft.PumpSweepPoint(p, s, a) for p, s, a in zip(powers, sq, anti)]
@@ -219,7 +217,7 @@ def test_09_optimal_pump_oracle():
             - ref.pump_power_w)
         for eta in (0.3, 0.6, 0.88, 1.0)
     )
-    sq_066, _ = ft.model_levels_db(np.array([0.66]), 0.88, 8.2, math.radians(0.8))
+    sq_066, _ = model_levels_db(np.array([0.66]), 0.88, 8.2, math.radians(0.8))
     flatness = abs(sq_066[0] - ref.squeezing_db)
     ok = (
         worst_gap < 1e-4

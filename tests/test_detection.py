@@ -29,6 +29,10 @@ class TestAnalyzerSettings:
         with pytest.raises(DomainError, match="rbw/vbw"):
             dataclasses.replace(locked_bundle.scenario.analyzer, rbw_hz=1e300, vbw_hz=1e-300)
 
+    def test_negative_seed_rejected(self, locked_bundle):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            dataclasses.replace(locked_bundle.scenario.analyzer, seed=-1)
+
     def test_points_capped(self, locked_bundle):
         at_cap = dataclasses.replace(locked_bundle.scenario.analyzer, points=det.MAX_POINTS)
         assert at_cap.points == 1_000_000
@@ -85,7 +89,19 @@ class TestDetectorModel:
             det.DetectorModel(**fields)
 
 
+class TestScenario:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+    def test_scanned_mode_needs_a_finite_positive_scan_rate(self, scanned_bundle, rate):
+        with pytest.raises(DomainError, match="scan_rate"):
+            dataclasses.replace(scanned_bundle.scenario, scan_rate_hz=rate)
+
+
 class TestMeasuredNoiseRatio:
+    @pytest.mark.parametrize("f", [math.nan, math.inf, 0.0, -1e6])
+    def test_bad_frequency_is_named(self, locked_bundle, f):
+        with pytest.raises(DomainError, match="frequency must be finite and > 0 Hz"):
+            det.measured_noise_ratio(locked_bundle.scenario, f)
+
     def test_operating_point(self, locked_bundle):
         s = locked_bundle.scenario
         locked, anti = det.measured_noise_ratio(s, 11e6)

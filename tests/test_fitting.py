@@ -9,12 +9,14 @@ from opasim import noise as nz
 from opasim.detection import MAX_POINTS, DetectorModel
 from opasim.errors import DomainError, UnboundedOptimumError
 
+from conftest import model_levels_db
+
 TRUE_ETA, TRUE_ALPHA, TRUE_THETA = 0.88, 8.2, math.radians(0.8)
 POWERS = np.linspace(0.1, 1.6, 8)
 
 
 def synthetic_data(eta=TRUE_ETA, alpha=TRUE_ALPHA, theta=TRUE_THETA, powers=POWERS, rng=None, noise_db=0.0):
-    sq, anti = ft.model_levels_db(powers, eta, alpha, theta)
+    sq, anti = model_levels_db(powers, eta, alpha, theta)
     if rng is not None and noise_db > 0:
         sq = sq + rng.uniform(-noise_db, noise_db, sq.size)
         anti = anti + rng.uniform(-noise_db, noise_db, anti.size)
@@ -40,6 +42,26 @@ def reference_grid_search(eta, alpha, theta, p_max):
     i = int(np.argmin(ft._mixed_pair(grid, eta, alpha, s)[0]))
     fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 4001)
     return float(fine[np.argmin(ft._mixed_pair(fine, eta, alpha, s)[0])])
+
+
+class TestPumpSweepPoint:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["pump_power_w", "squeezing_db", "anti_squeezing_db"])
+    def test_non_finite_value_rejected(self, field, value):
+        row = [0.3, -5.0, 12.0]
+        row[["pump_power_w", "squeezing_db", "anti_squeezing_db"].index(field)] = value
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            ft.PumpSweepPoint(*row)
+
+    def test_negative_pump_power_rejected(self):
+        with pytest.raises(DomainError, match="pump power must be >= 0, got -0.1"):
+            ft.PumpSweepPoint(-0.1, -5.0, 12.0)
+
+
+class TestFitBounds:
+    def test_infinite_alpha_max_rejected(self):
+        with pytest.raises(DomainError, match="alpha_max < inf"):
+            ft.FitBounds(alpha_max=math.inf)
 
 
 class TestFitPumpSweep:
@@ -91,8 +113,10 @@ class TestFitPumpSweep:
         ids=["huge_pump", "wide_alpha_bound", "inf_pump"],
     )
     def test_overflowing_gain_rejected_before_fitting(self, pump_w, alpha_max):
-        data = synthetic_data()[:2] + [ft.PumpSweepPoint(pump_w, -5.0, 12.0)]
-        with pytest.raises(DomainError, match="parametric gain"):
+        # an infinite pump power is rejected when its point is built
+        with pytest.raises(DomainError, match="parametric gain" if math.isfinite(pump_w)
+                           else "pump_power_w must be finite"):
+            data = synthetic_data()[:2] + [ft.PumpSweepPoint(pump_w, -5.0, 12.0)]
             ft.fit_pump_sweep(data, bounds=ft.FitBounds(alpha_max=alpha_max))
 
     @pytest.mark.parametrize("alpha_min, alpha_max", [(1.0, 20.0), (1e-3, 20.0), (1e-3, 1e-2)])
@@ -117,14 +141,14 @@ class TestFitPumpSweep:
     def test_level_beyond_the_model_reach_rejected(self, level, branch):
         row = [0.3, -5.0, 12.0]
         row[branch] = level
-        data = synthetic_data()[:2] + [ft.PumpSweepPoint(*row)]
-        with pytest.raises(DomainError, match="dB levels"):
-            ft.fit_pump_sweep(data)
+        # a non-finite level is rejected when its point is built
+        with pytest.raises(DomainError, match="dB levels" if math.isfinite(level) else "_db must be finite"):
+            ft.fit_pump_sweep(synthetic_data()[:2] + [ft.PumpSweepPoint(*row)])
 
     def test_level_bound_is_the_model_reach(self):
         # both branches reach +-_MAX_LEVEL_DB at the largest gain, and the bound admits them
         g = ft._MAX_FIT_GAIN
-        sq, anti = ft.model_levels_db(np.array([(g / 2.0) ** 2]), 1.0, 1.0, 0.0)
+        sq, anti = model_levels_db(np.array([(g / 2.0) ** 2]), 1.0, 1.0, 0.0)
         assert -sq[0] == pytest.approx(ft._MAX_LEVEL_DB, rel=1e-12)
         assert anti[0] == pytest.approx(ft._MAX_LEVEL_DB, rel=1e-12)
 
@@ -137,7 +161,7 @@ class TestFitPumpSweep:
     def test_analytic_jacobian_matches_finite_differences(self):
         # x = (eta, alpha, s = sin^2 theta); the last sample sits on s = 0
         powers = POWERS
-        sq, anti = ft.model_levels_db(powers, TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
+        sq, anti = model_levels_db(powers, TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
         rng = np.random.default_rng(3)
         samples = [
             np.array([
@@ -213,7 +237,7 @@ class TestFitPumpSweep:
         # the other about once in 8 000 seeds.  4 000 refits measured 0.68
         # for both.
         powers = np.linspace(0.1, 1.6, 20)
-        sq, anti = ft.model_levels_db(powers, TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
+        sq, anti = model_levels_db(powers, TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
         rng = np.random.default_rng(2026)
         n, covered = 400, np.zeros(2)
         for _ in range(n):
@@ -238,8 +262,8 @@ class TestFitPumpSweep:
             xp[k] += h
             xm[k] -= h
             jac[:, k] = (
-                np.concatenate(ft.model_levels_db(POWERS, *xp))
-                - np.concatenate(ft.model_levels_db(POWERS, *xm))
+                np.concatenate(model_levels_db(POWERS, *xp))
+                - np.concatenate(model_levels_db(POWERS, *xm))
             ) / (2 * h)
         sigma2 = r.residual / (2 * POWERS.size - 3)
         np.testing.assert_allclose(r.covariance, sigma2 * np.linalg.inv(jac.T @ jac), rtol=1e-4)
@@ -270,7 +294,7 @@ def beyond_zero_jitter_data():
 
 def sweep_cost(rows, eta, alpha, theta):
     rows = np.asarray(rows)
-    sq, anti = ft.model_levels_db(rows[:, 0], eta, alpha, theta)
+    sq, anti = model_levels_db(rows[:, 0], eta, alpha, theta)
     return float(np.sum((sq - rows[:, 1]) ** 2) + np.sum((anti - rows[:, 2]) ** 2))
 
 
@@ -333,6 +357,18 @@ class TestOptimalPumpPower:
         grid_p = ft.grid_search_optimal_pump(TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
         closed = ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, TRUE_THETA).pump_power_w
         assert abs(grid_p - closed) < 1e-4
+
+    @pytest.mark.parametrize(
+        "args",
+        [(TRUE_ETA, TRUE_ALPHA, TRUE_THETA, math.nan), (TRUE_ETA, TRUE_ALPHA, TRUE_THETA, -1.0),
+         (TRUE_ETA, TRUE_ALPHA, TRUE_THETA, 5e-5), (TRUE_ETA, math.nan, TRUE_THETA, 2.0),
+         (TRUE_ETA, TRUE_ALPHA, math.nan, 2.0), (math.nan, TRUE_ALPHA, TRUE_THETA, 2.0)],
+        ids=["nan_p_max", "negative_p_max", "p_max_below_first_point", "nan_alpha", "nan_theta",
+             "nan_eta"],
+    )
+    def test_grid_oracle_outside_its_domain(self, args):
+        with pytest.raises(DomainError):
+            ft.grid_search_optimal_pump(*args)
 
     def test_grid_oracle_wide_range(self):
         for theta_deg in (0.2, 0.8, 2.0):
@@ -397,8 +433,8 @@ class TestOptimalPumpPower:
     def test_optimum_is_global_on_grid(self):
         closed = ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, TRUE_THETA).pump_power_w
         grid = np.arange(1e-4, 2.0, 1e-4)
-        sq, _ = ft.model_levels_db(grid, TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
-        at_opt, _ = ft.model_levels_db(np.array([closed]), TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
+        sq, _ = model_levels_db(grid, TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
+        at_opt, _ = model_levels_db(np.array([closed]), TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
         assert np.all(sq >= at_opt[0] - 1e-12)
         # convex around the minimum: positive second difference at the argmin
         i = int(np.argmin(sq))
@@ -407,7 +443,7 @@ class TestOptimalPumpPower:
     def test_flat_optimum_near_empirical_choice(self):
         # the model curve is flat: the 0.66 W empirical choice costs < 0.1 dB
         sq_opt = ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, TRUE_THETA).squeezing_db
-        sq_066, _ = ft.model_levels_db(np.array([0.66]), TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
+        sq_066, _ = model_levels_db(np.array([0.66]), TRUE_ETA, TRUE_ALPHA, TRUE_THETA)
         assert abs(sq_066[0] - sq_opt) < 0.1
 
 

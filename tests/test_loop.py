@@ -27,18 +27,26 @@ def pure_delay_loop(tau, gain=1.0, kind="opa_probe"):
 
 
 INTEGRATOR = lp.TransferFunction((1.0,), (0.0, 1.0))
+# open loop: a zero plant, so no suppression anywhere
+ZERO_LOOP = pure_delay_loop(0.0, gain=0.0)
 
 
-class CountingLoop:
-    """Wraps a loop and counts its response calls."""
+@pytest.fixture
+def response_calls(monkeypatch):
+    """(loop, number of frequencies) of each LoopModel response call."""
+    calls = []
+    respond = lp.LoopModel.response
+    monkeypatch.setattr(lp.LoopModel, "response",
+                        lambda loop, f: calls.append((loop, np.size(f))) or respond(loop, f))
+    return calls
 
-    def __init__(self, loop):
-        self.loop = loop
-        self.calls = 0
 
-    def response(self, f):
-        self.calls += 1
-        return self.loop.response(f)
+@pytest.fixture
+def nan_loop(monkeypatch):
+    """A loop whose response is undefined everywhere."""
+    monkeypatch.setattr(lp.LoopModel, "response",
+                        lambda loop, f: np.full(np.shape(f), np.nan, dtype=complex))
+    return pure_delay_loop(0.0)
 
 
 def dense_crossovers(loop, f_min=1.0, f_max=2e7, points=200_001):
@@ -145,12 +153,27 @@ class TestFoldedResponse:
         with pytest.raises(SingularityError):
             lp.TransferFunction((1.0,), (1.0, 0.0, 1.0 / (2 * math.pi) ** 2)).response([0.5, 1.0])
 
+    @pytest.mark.parametrize("f", [math.nan, [1.0, math.nan]])
+    def test_nan_frequency_rejected(self, f):
+        for system in (lp.default_lock_loops()[0], lp.TransferFunction.flat(1.0)):
+            with pytest.raises(DomainError, match="frequencies must be > 0 Hz"):
+                system.response(f)
+
+    def test_huge_frequencies_match_product(self):
+        # the cubic denominator overflows in s above ~1e102 Hz, so the
+        # rational is evaluated in 1/s there
+        loop = lp.default_lock_loops()[0]
+        probe = lp.LoopModel(loop.controller, loop.fast_plant, loop.slow_plant)
+        f = np.geomspace(1e90, 1e300, 211)
+        ref = product_response(probe, f)
+        assert np.all(np.abs(probe.response(f) - ref) <= 1e-13 * np.abs(ref))
+
     def test_margins_grid_is_read_only(self):
         grid = lp._MARGINS_GRID
         assert grid.size == 1461 and grid[0] == 1.0 and grid[-1] == pytest.approx(2e7, rel=1e-12)
         with pytest.raises(ValueError):
             grid[0] = 2.0
-        assert lp._grid_analysis(lp.default_lock_loops()[0])[0] is grid
+        assert lp.default_lock_loops()[0]._grid_analysis[0] is grid
 
 
 class TestNonFiniteLoopInputs:
@@ -184,10 +207,10 @@ class TestLoopLayerFloats:
                                              template)
         assert type(spec.amplitude) is float
 
-    def test_integration_error_prints_a_float(self):
+    def test_integration_error_prints_a_float(self, nan_loop):
         spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-6, f_min=1.0, f_max=1e4)
         with pytest.raises(IntegrationError, match=r"returned nan$"):
-            lp.residual_jitter(spec, NanLoop())
+            lp.residual_jitter(spec, nan_loop)
 
 
 class TestPidController:
@@ -212,6 +235,10 @@ class TestBode:
     def test_grid_rejects_non_finite_bounds(self, f_min, f_max):
         with pytest.raises(DomainError):
             lp.log_frequency_grid(f_min, f_max)
+
+    def test_nan_frequency_rejected(self):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            lp.bode(INTEGRATOR, [1.0, math.nan])
 
     def test_phase_unwrap_is_continuous(self):
         loop = lp.default_lock_loops()[0]
@@ -253,14 +280,22 @@ class TestStabilityMargins:
     def test_delay_solve_matches_dense_phase_grid(self, crossover):
         loop = lp.default_lock_loops(opa_probe_crossover_hz=crossover)[0]
         probe = lp.LoopModel(loop.controller, loop.fast_plant, loop.slow_plant, loop_delay=0.0)
-        phase = lp._unwrapped_phase_deg(probe, lp.log_frequency_grid(1.0, crossover, 400))[-1]
+        phase = lp.bode(probe, lp.log_frequency_grid(1.0, crossover, 400))[1][-1]
         assert loop.loop_delay == (180.0 + phase) / (360.0 * crossover)
 
-    def test_refine_makes_three_response_calls(self):
-        loop = CountingLoop(lp.default_lock_loops()[0])
+    @pytest.mark.parametrize("crossover", [1e110, 1e200])
+    def test_crossover_where_the_folded_rational_overflows(self, crossover):
+        # at these frequencies the delay-free loop turns -90 deg, so the delay
+        # eats the other 90
+        loop = lp.default_lock_loops(opa_probe_crossover_hz=crossover)[0]
+        assert loop.loop_delay == pytest.approx(0.25 / crossover, rel=1e-12)
         m = lp.stability_margins(loop)
+        assert m.phase_crossover_hz is None and m.gain_margin_db is None
+
+    def test_refine_makes_three_response_calls(self, response_calls):
+        m = lp.stability_margins(lp.default_lock_loops()[0])
         assert m.phase_crossover_hz is not None and m.gain_crossover_hz is not None
-        assert loop.calls <= 3
+        assert len(response_calls) <= 3
 
     @pytest.mark.parametrize(
         "kind, param",
@@ -302,14 +337,6 @@ def margins_calls(monkeypatch):
     return calls
 
 
-class DuckLoop:
-    """A loop that is not a LoopModel: response and kind only."""
-
-    def __init__(self, loop):
-        self.response = loop.response
-        self.kind = loop.kind
-
-
 class TestMarginsOncePerLoop:
     def test_lock_study_computes_margins_once_per_loop(self, margins_calls):
         loops = lp.default_lock_loops()
@@ -322,28 +349,13 @@ class TestMarginsOncePerLoop:
         assert margins_calls == loops
         assert [lp.stability_margins(loop) for loop in loops] == margins
 
-    def test_lock_study_evaluates_the_margins_grid_once_per_loop(self, monkeypatch):
-        sizes = []
-        respond = lp.LoopModel.response
-        monkeypatch.setattr(lp.LoopModel, "response",
-                            lambda loop, f: sizes.append((loop, np.size(f))) or respond(loop, f))
+    def test_lock_study_evaluates_the_margins_grid_once_per_loop(self, response_calls):
         loops = lp.default_lock_loops()
         margins = [lp.stability_margins(loop) for loop in loops]
         shift = lp.select_shift_frequency(loops, [0.25e6, 0.5e6, 1e6, 2e6, 4e6])
         assert shift == 1e6 and all(m.stable for m in margins)
         grid = lp.log_frequency_grid(1.0, 2e7, 200)
-        assert [(loop, n) for loop, n in sizes if n > 100] == [(loop, grid.size) for loop in loops]
-
-    def test_duck_typed_loop_computes_margins_on_every_call(self, margins_calls):
-        loops = lp.default_lock_loops()
-        ducks = [DuckLoop(loop) for loop in loops]
-        assert [lp.stability_margins(d) for d in ducks] == [lp.stability_margins(l) for l in loops]
-        cands = [0.25e6, 0.5e6, 1e6, 2e6, 4e6]
-        assert lp.select_shift_frequency(ducks, cands) == lp.select_shift_frequency(loops, cands)
-        noise = lp.PhaseNoiseSpectrum(kind="one_over_f2", amplitude=1e-3, f_min=1.0, f_max=1e6)
-        assert lp.residual_jitter(noise, ducks[0]) == lp.residual_jitter(noise, loops[0])
-        # each duck-typed use computes its margins; the two LoopModels once each
-        assert margins_calls == ducks + loops + ducks + [ducks[0]]
+        assert [(loop, n) for loop, n in response_calls if n > 100] == [(loop, grid.size) for loop in loops]
 
 
 class TestShiftSelection:
@@ -367,6 +379,19 @@ class TestShiftSelection:
     def test_non_finite_candidate_rejected_up_front(self, cands):
         with pytest.raises(DomainError, match="candidate shifts must be > 0 Hz"):
             lp.select_shift_frequency(lp.default_lock_loops(), cands)
+
+    @pytest.mark.parametrize(
+        "rules",
+        [{"min_gain_margin_db": math.nan}, {"min_phase_margin_deg": math.inf},
+         {"flat_band_db": math.nan}, {"flat_band_db": -1.0}],
+        ids=["nan_gain_margin", "inf_phase_margin", "nan_flat_band", "negative_flat_band"],
+    )
+    def test_invalid_rule_rejected_up_front(self, rules):
+        with pytest.raises(DomainError):
+            lp.select_shift_frequency(lp.default_lock_loops(), [0.5e6, 1e6], **rules)
+
+    def test_candidate_whose_beat_overflows_the_rational_is_rejected(self):
+        assert lp.select_shift_frequency(lp.default_lock_loops(), [1e200, 1e6]) == 1e6
 
     def test_relaxing_margins_is_monotone(self):
         loops = lp.default_lock_loops()
@@ -504,20 +529,6 @@ class TestDemodFrequency:
             lp.demod_frequency(shift, "opa_probe")
 
 
-class ZeroLoop:
-    """Open loop: no suppression anywhere."""
-
-    def response(self, f):
-        return np.zeros_like(np.asarray(f, dtype=float), dtype=complex)
-
-
-class NanLoop:
-    """A loop whose response is undefined everywhere."""
-
-    def response(self, f):
-        return np.full(np.shape(f), np.nan, dtype=complex)
-
-
 def dense_jitter(noise, loop, points_per_decade=100_000):
     """Reference rms phase: uniform composite Simpson in ln f at 500 times
     the library's density, with no panel edges at table knots."""
@@ -533,7 +544,7 @@ def dense_jitter(noise, loop, points_per_decade=100_000):
 
 def open_loop_jitter(noise):
     """Free-running rms phase (radians) with no suppression."""
-    return dense_jitter(noise, ZeroLoop())
+    return dense_jitter(noise, ZERO_LOOP)
 
 
 TABLE_KNOTS_HZ = (1.0, 1e2, 1e4, 1e6)
@@ -543,7 +554,7 @@ TABLE_DENSITIES = (1.7357e-4, 3.7895e-9, 5.2944e-12, 3.8415e-13)
 class TestResidualJitter:
     def test_open_loop_equals_free_running_rms(self):
         spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-4, f_min=1.0, f_max=10.0)
-        out = lp.residual_jitter(spec, ZeroLoop())
+        out = lp.residual_jitter(spec, ZERO_LOOP)
         assert out.theta == pytest.approx(math.sqrt(1e-4 * 9.0), rel=1e-6)
         assert out.theta == pytest.approx(open_loop_jitter(spec), rel=1e-6)
 
@@ -611,7 +622,7 @@ class TestResidualJitter:
             kind="table", f_min=3.0, f_max=2e6,
             frequencies_hz=TABLE_KNOTS_HZ, densities=TABLE_DENSITIES,
         )
-        out = lp.residual_jitter(spec, ZeroLoop()).theta
+        out = lp.residual_jitter(spec, ZERO_LOOP).theta
         assert out == pytest.approx(open_loop_jitter(spec), rel=1e-7)
 
     def test_fast_phase_loop_meets_tolerance(self):
@@ -630,10 +641,10 @@ class TestResidualJitter:
         variance = lp.residual_jitter(spec, loop).theta ** 2
         assert variance == pytest.approx(dense_jitter(spec, loop, 200_000) ** 2, rel=1e-8)
 
-    def test_nan_loop_response_is_integration_error(self):
+    def test_nan_loop_response_is_integration_error(self, nan_loop):
         spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-6, f_min=1.0, f_max=1e4)
         with pytest.raises(IntegrationError):
-            lp.residual_jitter(spec, NanLoop())
+            lp.residual_jitter(spec, nan_loop)
 
     def test_unstable_loop_rejected(self):
         spec = lp.PhaseNoiseSpectrum(kind="white", amplitude=1e-6, f_min=1.0, f_max=1e4)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opasim import detection as det
-from opasim import fitting as ft
 from opasim import noise as nz
 from opasim.errors import DomainError, InfeasibleError
+
+from conftest import model_levels_db
 
 # frozen oracle values: direct high-precision evaluation of the closed forms
 R_ANTI = 92.40741247968393
@@ -118,7 +119,7 @@ class TestOneModel:
         theta = math.radians(deg)
         q = nz.opa_output_variances(nz.OpaParams(alpha, pump, eta_opa))
         m = nz.jitter_mix(nz.apply_loss(q, eta_det), nz.PhaseJitter(theta))
-        sq_db, anti_db = ft.model_levels_db([pump], eta_opa * eta_det, alpha, theta)
+        sq_db, anti_db = model_levels_db([pump], eta_opa * eta_det, alpha, theta)
         # two losses in a row against one loss at the rounded product: the
         # vacuum terms may differ by a few ulps of 1, which is all the
         # absolute tolerance allows (sq can be as small as ~3e-6)
@@ -167,11 +168,11 @@ class TestDecibels:
 
 class TestLossComposition:
     def test_empty_budget(self):
-        assert nz.cascade_losses(nz.LossBudget()) == 1.0
+        assert nz.LossBudget().transmittance == 1.0
 
     def test_opaque_element(self):
         b = nz.LossBudget((nz.LossElement("block", 1.0),))
-        assert nz.cascade_losses(b) == 0.0
+        assert b.transmittance == 0.0
 
     def test_detection_chain(self):
         b = nz.LossBudget(
@@ -181,8 +182,8 @@ class TestLossComposition:
                 nz.LossElement("photodiode", 0.02),
             )
         )
-        assert nz.cascade_losses(b) == pytest.approx(0.92208, abs=1e-5)
-        assert 1.0 - nz.cascade_losses(b) == pytest.approx(0.0779, abs=2e-4)
+        assert b.transmittance == pytest.approx(0.92208, abs=1e-5)
+        assert 1.0 - b.transmittance == pytest.approx(0.0779, abs=2e-4)
 
     @given(st.lists(st.floats(0.0, 1.0), max_size=6), st.randoms())
     @settings(max_examples=200)
@@ -191,7 +192,7 @@ class TestLossComposition:
         shuffled = list(losses)
         rnd.shuffle(shuffled)
         b2 = nz.LossBudget(tuple(nz.LossElement(str(i), x) for i, x in enumerate(shuffled)))
-        assert nz.cascade_losses(b1) == pytest.approx(nz.cascade_losses(b2), rel=1e-12)
+        assert b1.transmittance == pytest.approx(b2.transmittance, rel=1e-12)
 
 
 class TestApplyInvertLoss:

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opasim import fitting as ft
 from opasim.cli import run
 from opasim.detection import MAX_POINTS, Trace, trace_extrema
 from opasim.errors import ScenarioParseError, ScenarioValidationError
@@ -24,7 +23,7 @@ from opasim.scenario import (
     _FORMAT, MAX_SCENARIO_BYTES, _lines, load_scenario, loads_scenario, serialize_scenario,
 )
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, model_levels_db
 
 REPO = SCENARIO_DIR.parent
 
@@ -399,7 +398,7 @@ class TestCli:
 
     def test_fit_command(self, tmp_path):
         powers = np.linspace(0.1, 1.6, 8)
-        sq, anti = ft.model_levels_db(powers, 0.88, 8.2, math.radians(0.8))
+        sq, anti = model_levels_db(powers, 0.88, 8.2, math.radians(0.8))
         csv = tmp_path / "sweep.csv"
         csv.write_text(
             "pump_w,squeezing_db,antisqueezing_db\n"
@@ -641,7 +640,7 @@ class TestCli:
         # the data file is the model at (0.88, 8.2 /W, 0.8 deg), rounded to 1e-4 dB
         rows = np.loadtxt(REPO / "scenarios" / "pump_sweep.csv", delimiter=",", skiprows=1)
         assert rows.shape == (8, 3)
-        sq, anti = ft.model_levels_db(rows[:, 0], 0.88, 8.2, math.radians(0.8))
+        sq, anti = model_levels_db(rows[:, 0], 0.88, 8.2, math.radians(0.8))
         assert np.max(np.abs(rows[:, 1] - sq)) <= 5e-5
         assert np.max(np.abs(rows[:, 2] - anti)) <= 5e-5
         assert run_cli(
@@ -751,6 +750,27 @@ class TestCli:
         assert "opa" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["file", "under_file", "report_is_dir"])
+    def test_unwritable_output_is_validation_error(self, tmp_path, capsys, where):
+        out = tmp_path / "out"
+        if where == "report_is_dir":
+            (out / "margins_report.json").mkdir(parents=True)
+        else:
+            out.write_text("")
+            out = out / "sub" if where == "under_file" else out
+        assert run_cli("margins", self.SCN, "--out-dir", str(out), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [validation]: cannot write output:")
+        assert "Traceback" not in err
+
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL.replace("seed = 1", "seed = -3"))
+        assert run_cli("simulate", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        assert "analyzer: seed must be >= 0" in capsys.readouterr().err
+        assert run_cli("simulate", self.SCN, "--seed", "-1", "--out-dir", str(tmp_path), "--quiet") == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_csv_report_format(self, tmp_path, capsys):
         assert run_cli(
             "budget", self.SCN, "--out-dir", str(tmp_path), "--format", "csv"
@@ -770,6 +790,20 @@ def test_import_does_not_load_scipy():
     code = "import opasim, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_frequencies_past_overflow_in_s_run_without_warnings(tmp_path):
+    # above ~1e102 Hz the loops' cubic denominator overflows in s; numpy
+    # would warn on stderr, which the in-process tests turn into errors
+    scn = tmp_path / "huge.scenario"
+    scn.write_text(MINIMAL + "\n[lock_loops]\nopa_probe_crossover = 1e110 Hz\n"
+                   "shift_candidates = 1e200 Hz, 1 MHz\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "opasim", "select-freq", str(scn), "--out-dir", str(tmp_path)],
+        env=src_env(), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "shift_frequency_hz = 1000000" in proc.stdout
 
 
 def test_python_dash_m_runs_cli(tmp_path):
