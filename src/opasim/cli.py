@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from .loop import bode, demod_frequency, log_frequency_grid, select_shift_freque
 from .scenario import load_scenario, serialize_scenario
 
 REPORT_SCHEMA_VERSION = 1
+MAX_DATA_LINE_CHARS = 4096  # per pump-sweep CSV line, newline included; longer ones are not read whole
 
 
 def _fmt(value):
@@ -108,11 +110,11 @@ def _read_pump_sweep_csv(path: Path) -> list[PumpSweepPoint]:
     before any is parsed, so an oversized file is rejected in constant memory."""
     try:
         with path.open() as fh:
-            for n, _ in enumerate(_data_rows(fh), 1):
+            for n, _ in enumerate(_data_rows(path, fh), 1):
                 if n > MAX_POINTS:
                     raise DomainError(f"{path}: at most {MAX_POINTS} data rows, got more")
             fh.seek(0)
-            return [_pump_sweep_point(path, i, line) for i, line in _data_rows(fh)]
+            return [_pump_sweep_point(path, i, line) for i, line in _data_rows(path, fh)]
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise DomainError(f"{path}: cannot read pump-sweep data: {reason}") from exc
@@ -128,11 +130,13 @@ def _pump_sweep_point(path: Path, i: int, line: str) -> PumpSweepPoint:
         raise DomainError(f"{path}:{i}: {exc}") from exc
 
 
-def _data_rows(lines):
+def _data_rows(path: Path, fh):
     """(line number, row) of each line that is not blank, a comment or the
     pump_w header; the header is the first non-comment line, wherever it falls."""
     first = True
-    for i, line in enumerate(lines, 1):
+    for i, line in enumerate(iter(partial(fh.readline, MAX_DATA_LINE_CHARS + 1), ""), 1):
+        if len(line) > MAX_DATA_LINE_CHARS:
+            raise DomainError(f"{path}:{i}: longer than {MAX_DATA_LINE_CHARS} characters")
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -150,8 +154,8 @@ def _cmd_simulate(bundle, report, out_dir, args):
     _write_trace_csv(out_dir / "zero_span_shot.csv", shot, digest)
     # linear power relative to shot noise, so no level overflows or underflows
     ref = s.detector.shot_noise_dbm
-    mean_db = ref + 10.0 * math.log10(np.mean(10.0 ** ((trace.values_dbm - ref) / 10.0)))
-    shot_db = ref + 10.0 * math.log10(np.mean(10.0 ** ((shot.values_dbm - ref) / 10.0)))
+    mean_db, shot_db = (ref + 10.0 * math.log10(np.mean(10.0 ** ((t.values_dbm - ref) / 10.0)))
+                        for t in (trace, shot))
     report.add("trace_points", s.analyzer.points)
     report.add("video_averages", s.analyzer.video_averages)
     report.add("trace_mean_dbm", mean_db)
@@ -275,9 +279,11 @@ def _cmd_report(bundle, report, out_dir, args):
     locked, anti = measured_noise_ratio(s, s.analyzer.center_frequency_hz)
     report.add("measured_squeezing_db", nz.to_db(locked))
     report.add("measured_anti_squeezing_db", nz.to_db(anti))
-    src = nz.source_variances(_optical_pair(s), s.detection_transmittance)
-    report.add("source_squeezing_db", nz.to_db(src.sq))
-    report.add("source_anti_squeezing_db", nz.to_db(src.anti))
+    measured = _optical_pair(s)
+    # the anti-squeezed branch first: its error is the one reported when both are infeasible
+    source_anti = nz.invert_loss(measured.anti, s.detection_transmittance)
+    report.add("source_squeezing_db", nz.to_db(nz.invert_loss(measured.sq, s.detection_transmittance)))
+    report.add("source_anti_squeezing_db", nz.to_db(source_anti))
     _cmd_margins(bundle, report, out_dir, args)
     _cmd_budget(bundle, report, out_dir, args)
 

@@ -12,6 +12,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,9 +38,9 @@ MAX_POINTS = 1_000_000  # cap on trace and sweep points, so no scenario asks for
 
 
 def check_points(points: int, minimum: int) -> None:
-    """DomainError unless ``points`` lies in [minimum, MAX_POINTS]."""
-    if not minimum <= points <= MAX_POINTS:
-        raise DomainError(f"points must be in [{minimum}, {MAX_POINTS}], got {points}")
+    """DomainError unless ``points`` is an integer in [minimum, MAX_POINTS]."""
+    if not (isinstance(points, numbers.Integral) and minimum <= points <= MAX_POINTS):
+        raise DomainError(f"points must be an integer in [{minimum}, {MAX_POINTS}], got {points}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,16 @@ class DetectorModel:
         """The circuit-noise level over its floor (dB); inf where it overflows."""
         f = np.asarray(f, dtype=float)
         n = self.slope_db_per_decade / 10.0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             return 10.0 * np.log10(1.0 + (f / self.high_corner_hz) ** n + (self._f_lo / f) ** n)
 
     def circuit_level_dbm(self, f) -> np.ndarray:
         shape_db = self._shape_db(f)
         if not math.isfinite(shape_db.max(initial=0.0)):  # NaN fails too
+            f = np.asarray(f, dtype=float)
+            bad = f[~((f > 0) & (f < math.inf))]
+            if bad.size:
+                raise DomainError(f"frequency must be finite and > 0 Hz, got {bad[0]}")
             raise DomainError(
                 f"circuit_slope {self.slope_db_per_decade:g} dB_per_decade overflows the "
                 f"circuit-noise shape between {np.min(f):g} and {np.max(f):g} Hz"
@@ -258,8 +263,8 @@ class FrequencySweep:
 def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -> FrequencySweep:
     """Analytic noise levels versus sideband frequency: squeezed, shot,
     circuit and analyzer-floor traces on a common linear grid."""
-    if not 0 < f_min < f_max:
-        raise DomainError("need 0 < f_min < f_max")
+    if not 0 < f_min < f_max < math.inf:
+        raise DomainError("need 0 < f_min < f_max < inf")
     check_points(points, 1)
     f = np.linspace(f_min, f_max, points)
     q = _optical_pair(s)

@@ -17,52 +17,43 @@ class DomainError(ToolError, ValueError):
     category = "validation"
 
 
-class ScenarioParseError(ToolError):
+class ScenarioParseError(DomainError):
     """Scenario file could not be parsed at all."""
 
-    exit_code = 2
-    category = "validation"
 
-
-class ScenarioValidationError(ToolError):
+class ScenarioValidationError(DomainError):
     """Scenario parsed but one or more fields are invalid.
 
     ``violations`` is a list of ``section.key: message`` strings covering
     every problem found, not just the first.
     """
 
-    exit_code = 2
-    category = "validation"
-
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
 
-class SingularityError(ToolError):
+class NumericalError(ToolError):
+    """A computation failed on inputs inside their domain."""
+
+    exit_code = 3
+    category = "numerical"
+
+
+class SingularityError(NumericalError):
     """Transfer-function denominator vanished at an evaluation point."""
 
-    exit_code = 3
-    category = "numerical"
+
+class IntegrationError(NumericalError):
+    pass
 
 
-class IntegrationError(ToolError):
-    exit_code = 3
-    category = "numerical"
-
-
-class InstabilityError(ToolError):
+class InstabilityError(NumericalError):
     """Closed-loop analysis requested on an unstable loop."""
 
-    exit_code = 3
-    category = "numerical"
 
-
-class NonConvergenceError(ToolError):
+class NonConvergenceError(NumericalError):
     """Fit did not converge; ``best`` holds the last iterate."""
-
-    exit_code = 3
-    category = "numerical"
 
     def __init__(self, message, best=None):
         self.best = best

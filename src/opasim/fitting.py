@@ -319,8 +319,10 @@ def optimal_pump_power(
     With theta = 0 the squeezing improves monotonically with pump power and
     there is no interior optimum.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and > 0, got {alpha}")
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"eta must be in [0, 1], got {eta}")
     if not 0 <= theta_rad < math.pi / 2:
         raise DomainError(f"theta must be in [0, pi/2) rad, got {theta_rad}")
     if theta_rad == 0.0:
@@ -339,6 +341,7 @@ def optimal_pump_power(
 
 _GRID_STEP_W = 1e-4  # the grid oracle's step and first point
 _GRID_MAX_W = 2.0  # the grid oracle's default last point
+_GRID_CAP_W = _GRID_STEP_W * MAX_POINTS  # the largest p_max: a grid of MAX_POINTS points
 
 
 def _grid_end(alpha: float, p_max: float = _GRID_MAX_W) -> float:
@@ -360,13 +363,14 @@ def grid_search_optimal_pump(
     """Brute-force oracle for the optimal pump power: coarse 0.1-mW grid
     over (0, p_max], refined on a fine grid over the two cells around the
     coarse minimum to 5e-8 W.  The squeezed variance is searched in
-    linear units, which share their argmin with the dB levels.  The grid
-    ends a step below the pump power where the gain 2 sqrt(alpha P)
+    linear units, which share their argmin with the dB levels.  p_max lies
+    in [1e-4, 100] W, so the grid holds at most MAX_POINTS points, and the
+    grid ends a step below the pump power where the gain 2 sqrt(alpha P)
     reaches nz._MAX_GAIN, so every exp it takes is finite."""
     if not (0.0 <= eta <= 1.0 and 0.0 < alpha < math.inf and theta_rad < math.pi / 2
-            and p_max >= _GRID_STEP_W):
-        raise DomainError(f"need 0 <= eta <= 1, 0 < alpha < inf, theta < pi/2 rad and p_max >= "
-                          f"{_GRID_STEP_W} W, got {eta}, {alpha} /W, {theta_rad} rad, {p_max} W")
+            and _GRID_STEP_W <= p_max <= _GRID_CAP_W):
+        raise DomainError(f"need 0 <= eta <= 1, 0 < alpha < inf, theta < pi/2 rad and {_GRID_STEP_W} <= "
+                          f"p_max <= {_GRID_CAP_W:g} W, got {eta}, {alpha} /W, {theta_rad} rad, {p_max} W")
     if theta_rad <= 0:
         raise UnboundedOptimumError("grid search needs theta > 0")
     s = nz.sin2(theta_rad)
@@ -377,19 +381,15 @@ def grid_search_optimal_pump(
     return float(fine[_argmin_squeezed(fine, eta, alpha, s)])
 
 
-# Points per block of the grid search.  Blocks this small let malloc reuse
-# the heap memory the previous block freed: amid the design workload's other
-# work, whole-grid temporaries (400 KiB at p_max 5 W) page-faulted ~550 times
-# per call, 8192-point blocks still ~160 times in traced runs, and 5120-point
-# blocks (40 KiB temporaries) not at all.
-_GRID_BLOCK = 5120
+# Points per block of the grid search.  Each call reuses two buffers of this
+# size, so the block size bounds the memory beyond the grid (2 x 125 KiB).
+_GRID_BLOCK = 16_000
 
 
 def _argmin_squeezed(powers: np.ndarray, eta: float, alpha: float, s: float) -> int:
     """np.argmin of the squeezed level R'- of _mixed_pair over powers, by
     the same operations in the same order, block by block in two buffers
-    updated in place: the first index of the minimum, or of the first
-    NaN."""
+    updated in place: the first index of the minimum."""
     c = 1.0 - s
     loss = 1.0 - eta  # nz.lossy(r, eta) = (1 - eta) + eta * r
     size = min(powers.size, _GRID_BLOCK)
@@ -412,10 +412,8 @@ def _argmin_squeezed(powers: np.ndarray, eta: float, alpha: float, s: float) -> 
         g *= s
         level += g
         j = int(np.argmin(level))
-        if not level[j] >= best:  # smaller, or NaN
+        if level[j] < best:
             best, best_i = level[j], start + j
-            if math.isnan(best):
-                break
     return best_i
 
 

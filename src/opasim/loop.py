@@ -24,6 +24,7 @@ from .errors import (
     NoFeasibleCandidateError,
     SingularityError,
 )
+from .detection import check_points
 from .noise import PhaseJitter
 
 __all__ = [
@@ -76,10 +77,10 @@ class TransferFunction:
 
 
 def _laplace_s(f) -> np.ndarray:
-    """s = i 2 pi f for frequencies f > 0 Hz (scalar or array)."""
+    """s = i 2 pi f for finite frequencies f > 0 Hz (scalar or array)."""
     f = np.asarray(f, dtype=float)
-    if not (f > 0).all():  # NaN fails too
-        raise DomainError("frequencies must be > 0 Hz")
+    if not ((f > 0) & (f < math.inf)).all():  # NaN fails too
+        raise DomainError("frequencies must be > 0 Hz and finite")
     return (2j * math.pi) * f
 
 
@@ -210,9 +211,11 @@ class StabilityMargins:
 
 
 def log_frequency_grid(f_min: float = 1e3, f_max: float = 2e7, points_per_decade: int = 200) -> np.ndarray:
-    if not 0 < f_min < f_max < math.inf:
-        raise DomainError(f"need 0 < f_min < f_max < inf, got {f_min!r}, {f_max!r}")
-    n = max(2, int(round(points_per_decade * math.log10(f_max / f_min))) + 1)
+    if not (0 < f_min < f_max < math.inf and 0 < points_per_decade < math.inf):
+        raise DomainError(f"need 0 < f_min < f_max < inf and 0 < points_per_decade < inf, got "
+                          f"{f_min!r}, {f_max!r}, {points_per_decade!r}")
+    n = max(2, int(round(points_per_decade * (math.log10(f_max) - math.log10(f_min)))) + 1)
+    check_points(n, 2)
     return np.logspace(math.log10(f_min), math.log10(f_max), n)
 
 

@@ -195,6 +195,8 @@ def to_db(ratio: float) -> float:
 
 def from_db(db: float) -> float:
     _check_finite("dB value", db)
+    if db * _LN10_OVER_10 > _MAX_GAIN:
+        raise DomainError(f"dB value must be <= {_MAX_GAIN / _LN10_OVER_10:.1f}, got {db}")
     return math.exp(db * _LN10_OVER_10)
 
 
@@ -224,14 +226,6 @@ def invert_loss(r_measured: float, transmittance: float) -> float:
             f"{1.0 - transmittance:.6g} implied by transmittance {transmittance}"
         )
     return out
-
-
-def source_variances(measured: QuadraturePair, detection_transmittance: float) -> QuadraturePair:
-    """Both variances referred back through the detection chain."""
-    return QuadraturePair(
-        anti=invert_loss(measured.anti, detection_transmittance),
-        sq=invert_loss(measured.sq, detection_transmittance),
-    )
 
 
 def visibility_to_loss(visibility: float) -> float:

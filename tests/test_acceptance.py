@@ -253,11 +253,11 @@ def test_10_model_property_suite():
             trace_err, abs((m.anti + m.sq) - (q.anti + q.sq)) / (q.anti + q.sq)
         )
         if e > 1e-6:
-            back = nz.source_variances(nz.apply_loss(q, e), e)
+            measured = nz.apply_loss(q, e)
             loss_err = max(
                 loss_err,
-                abs(back.anti - q.anti) / q.anti,
-                abs(back.sq - q.sq) / max(q.sq, 1e-300),
+                abs(nz.invert_loss(measured.anti, e) - q.anti) / q.anti,
+                abs(nz.invert_loss(measured.sq, e) - q.sq) / max(q.sq, 1e-300),
             )
 
     ratios = np.logspace(-6, 6, 1000)

@@ -444,6 +444,26 @@ class TestCli:
         # the rows are counted a line at a time, not read into memory at once
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_long_data_line_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("pump_w,squeezing_db,antisqueezing_db\n" + "x" * 20 * 2**20 + "\n0.1,-3,5\n")
+        tracemalloc.start()
+        try:
+            code = run_cli("fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each line is read up to the limit, not whole
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert code == 2
+        assert f"{csv}:2: longer than 4096 characters" in capsys.readouterr().err
+
+    def test_data_line_at_the_limit_is_read(self, tmp_path, capsys):
+        csv = tmp_path / "sweep.csv"
+        row = "0.1,-3,5".ljust(4095)  # with its newline, at the limit
+        csv.write_text(f"{row}\n0.2,-5,8\n0.3,-6,10\n")
+        assert run_cli("fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet") == 0
+
     def test_file_over_byte_cap_exits_2(self, tmp_path, capsys):
         scn = tmp_path / "huge.scenario"
         with scn.open("wb") as fh:
