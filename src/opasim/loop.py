@@ -79,7 +79,7 @@ class TransferFunction:
 def _laplace_s(f) -> np.ndarray:
     """s = i 2 pi f for finite frequencies f > 0 Hz (scalar or array)."""
     f = np.asarray(f, dtype=float)
-    if not ((f > 0) & (f < math.inf)).all():  # NaN fails too
+    if not (0 < f.min(initial=math.inf) and f.max(initial=0.0) < math.inf):  # NaN fails; empty f passes
         raise DomainError("frequencies must be > 0 Hz and finite")
     return (2j * math.pi) * f
 

@@ -458,11 +458,12 @@ class TestCli:
         assert code == 2
         assert f"{csv}:2: longer than 4096 characters" in capsys.readouterr().err
 
-    def test_data_line_at_the_limit_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("width, code", [(4095, 0), (4096, 2)])
+    def test_data_line_at_the_limit(self, tmp_path, width, code):
         csv = tmp_path / "sweep.csv"
-        row = "0.1,-3,5".ljust(4095)  # with its newline, at the limit
+        row = "0.1,-3,5".ljust(width)  # 4096 characters with its newline at width 4095
         csv.write_text(f"{row}\n0.2,-5,8\n0.3,-6,10\n")
-        assert run_cli("fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet") == 0
+        assert run_cli("fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path), "--quiet") == code
 
     def test_file_over_byte_cap_exits_2(self, tmp_path, capsys):
         scn = tmp_path / "huge.scenario"
