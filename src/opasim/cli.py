@@ -43,8 +43,9 @@ from .fitting import (
 from .loop import bode, demod_frequency, log_frequency_grid, select_shift_frequency, stability_margins
 from .scenario import load_scenario, serialize_scenario
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2  # 2: strict JSON, a non-finite result is null with a warning
 MAX_DATA_LINE_CHARS = 4096  # per pump-sweep CSV line, newline included; longer ones are not read whole
+_CSV_CHUNK_ROWS = 8192  # rows formatted per write, so a CSV costs memory per chunk, not per file
 
 
 def _fmt(value):
@@ -69,6 +70,9 @@ class RunReport:
         }
 
     def add(self, key: str, value):
+        if isinstance(value, float) and not math.isfinite(value):  # JSON has no inf or NaN
+            self.warn(f"{key} is {value}, reported as null")
+            value = None
         self.data["results"][key] = value
 
     def warn(self, message: str):
@@ -86,7 +90,7 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def as_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def as_csv(self) -> str:
         lines = ["key,value"]
@@ -95,9 +99,14 @@ class RunReport:
 
 
 def _write_csv(path: Path, header: str, *columns):
-    """A CSV file of the header, then one row per index of the columns."""
-    rows = map(",".join, zip(*(map(_fmt, column) for column in columns)))
-    path.write_text("\n".join((header, *rows)) + "\n")
+    """A CSV file of the header, then one row per index of the float
+    columns, formatted as _fmt does, one chunk of rows at a time."""
+    row = ",".join(["%.10g"] * len(columns)) + "\n"
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = np.column_stack([c[i:i + _CSV_CHUNK_ROWS] for c in columns])
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_trace_csv(path: Path, trace, digest: str):

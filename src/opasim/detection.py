@@ -87,19 +87,21 @@ class DetectorModel:
         return self._floor_dbm + self.analyzer_floor_offset_db
 
     def _shape_db(self, f) -> np.ndarray:
-        """The circuit-noise level over its floor (dB); inf where it overflows."""
+        """The circuit-noise level over its floor (dB) at f > 0 Hz; inf where
+        it overflows, which an infinite f does too."""
         f = np.asarray(f, dtype=float)
+        if not f.min(initial=math.inf) > 0:  # NaN fails too
+            raise DomainError(f"frequency must be finite and > 0 Hz, got {f[~(f > 0)][0]}")
         n = self.slope_db_per_decade / 10.0
         with np.errstate(all="ignore"):
             return 10.0 * np.log10(1.0 + (f / self.high_corner_hz) ** n + (self._f_lo / f) ** n)
 
     def circuit_level_dbm(self, f) -> np.ndarray:
         shape_db = self._shape_db(f)
-        if not math.isfinite(shape_db.max(initial=0.0)):  # NaN fails too
+        if not math.isfinite(shape_db.max(initial=0.0)):
             f = np.asarray(f, dtype=float)
-            bad = f[~((f > 0) & (f < math.inf))]
-            if bad.size:
-                raise DomainError(f"frequency must be finite and > 0 Hz, got {bad[0]}")
+            if f.max() == math.inf:
+                raise DomainError(f"frequency must be finite and > 0 Hz, got {math.inf}")
             raise DomainError(
                 f"circuit_slope {self.slope_db_per_decade:g} dB_per_decade overflows the "
                 f"circuit-noise shape between {np.min(f):g} and {np.max(f):g} Hz"
@@ -197,10 +199,8 @@ def measured_noise_ratio(s: Scenario, f: float) -> tuple[float, float]:
     """(locked, anti-locked) displayed noise ratios at sideband frequency f:
     optical variances through the full loss chain and jitter mixing, with
     circuit noise added as electrical power on top."""
-    if not 0 < f < math.inf:
-        raise DomainError(f"frequency must be finite and > 0 Hz, got {f}")
-    q = _optical_pair(s)
     n_circ = float(s.detector.circuit_ratio(f))
+    q = _optical_pair(s)
     return q.sq + n_circ, q.anti + n_circ
 
 
@@ -268,7 +268,8 @@ def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -
     check_points(points, 1)
     f = np.linspace(f_min, f_max, points)
     q = _optical_pair(s)
-    n_circ = np.asarray(s.detector.circuit_ratio(f), dtype=float)
+    circuit_dbm = s.detector.circuit_level_dbm(f)
+    n_circ = 10.0 ** ((circuit_dbm - s.detector.shot_noise_dbm) / 10.0)  # circuit_ratio, from that level
     sq_dbm = s.detector.shot_noise_dbm + 10.0 * np.log10(q.sq + n_circ)
 
     def trace(values, label):
@@ -278,7 +279,7 @@ def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -
         frequencies_hz=f,
         squeezed=trace(sq_dbm, "squeezed"),
         shot=trace(np.full(points, s.detector.shot_noise_dbm), "shot"),
-        circuit=trace(np.asarray(s.detector.circuit_level_dbm(f), dtype=float), "circuit"),
+        circuit=trace(circuit_dbm, "circuit"),
         floor=trace(np.full(points, s.detector.analyzer_floor_dbm), "analyzer_floor"),
     )
 

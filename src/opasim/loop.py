@@ -24,7 +24,7 @@ from .errors import (
     NoFeasibleCandidateError,
     SingularityError,
 )
-from .detection import check_points
+from .detection import MAX_POINTS
 from .noise import PhaseJitter
 
 __all__ = [
@@ -127,16 +127,6 @@ def _polymul(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _open_loop(controller: PidController, fast: TransferFunction,
-               slow: TransferFunction) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(num, den) of controller x (fast + slow), the delay-free open loop,
-    folded into one rational."""
-    c = controller.transfer_function()
-    plant = tuple(x + y for x, y in zip_longest(
-        _polymul(fast.num, slow.den), _polymul(slow.num, fast.den), fillvalue=0.0))
-    return _polymul(c.num, plant), _polymul(c.den, _polymul(fast.den, slow.den))
-
-
 @dataclass(frozen=True)
 class PidController:
     """Proportional-integral controller kp + ki/s."""
@@ -173,9 +163,13 @@ class LoopModel:
             raise DomainError(f"kind must be one of {LOOP_KINDS}, got {self.kind!r}")
         if not 0 <= self.loop_delay < math.inf:
             raise DomainError(f"loop_delay must be finite and >= 0, got {self.loop_delay}")
-        # the loop is frozen, so its parts are folded into one rational once
+        # the loop is frozen, so controller x (fast + slow), the delay-free
+        # open loop, is folded into one rational (num, den) once
+        c, fast, slow = self.controller.transfer_function(), self.fast_plant, self.slow_plant
+        plant = tuple(x + y for x, y in zip_longest(
+            _polymul(fast.num, slow.den), _polymul(slow.num, fast.den), fillvalue=0.0))
         object.__setattr__(self, "_num_den",
-                           _open_loop(self.controller, self.fast_plant, self.slow_plant))
+                           (_polymul(c.num, plant), _polymul(c.den, _polymul(fast.den, slow.den))))
 
     def response(self, f) -> np.ndarray:
         """Open-loop response at s = i 2 pi f: the folded rational times the
@@ -214,8 +208,11 @@ def log_frequency_grid(f_min: float = 1e3, f_max: float = 2e7, points_per_decade
     if not (0 < f_min < f_max < math.inf and 0 < points_per_decade < math.inf):
         raise DomainError(f"need 0 < f_min < f_max < inf and 0 < points_per_decade < inf, got "
                           f"{f_min!r}, {f_max!r}, {points_per_decade!r}")
-    n = max(2, int(round(points_per_decade * (math.log10(f_max) - math.log10(f_min)))) + 1)
-    check_points(n, 2)
+    decades = math.log10(f_max) - math.log10(f_min)
+    n = max(2, int(round(min(points_per_decade * decades, MAX_POINTS))) + 1)  # min: the product may be inf
+    if n > MAX_POINTS:
+        raise DomainError(f"points_per_decade {points_per_decade!r} over {decades:.6g} decades "
+                          f"gives more than {MAX_POINTS} points")
     return np.logspace(math.log10(f_min), math.log10(f_max), n)
 
 
@@ -504,15 +501,15 @@ def calibrate_jitter_amplitude(loop, target: PhaseJitter, template: PhaseNoiseSp
     return replace(template, amplitude=target.theta**2 / base)
 
 
-def _solve_loop_delay(controller, fast, slow, target_crossover_hz: float) -> float:
-    """Delay that places the -180 deg crossing of controller x plant at the
-    target frequency.  The non-delay phase is continued from low frequency so
-    the calibration is exact, not grid-limited.  Only the phase at the last
-    node, the target itself, is read, so 4 points/decade suffice: the default
-    loops turn at most ~17 deg between nodes, far inside the 180 deg that
-    unwrapping allows."""
+def _solve_loop_delay(loop: LoopModel, target_crossover_hz: float) -> float:
+    """Delay that places the -180 deg crossing of a delay-free loop at the
+    target frequency.  The phase of its folded rational is continued from
+    low frequency so the calibration is exact, not grid-limited.  Only the
+    phase at the last node, the target itself, is read, so 4 points/decade
+    suffice: the default loops turn at most ~17 deg between nodes, far
+    inside the 180 deg that unwrapping allows."""
     grid = log_frequency_grid(1.0, target_crossover_hz, 4)
-    h = _rational(*_open_loop(controller, fast, slow), _laplace_s(grid))
+    h = _rational(*loop._num_den, _laplace_s(grid))
     phase_nodelay = float(np.degrees(np.unwrap(np.angle(h)))[-1])
     deficit = 180.0 + phase_nodelay  # phase still to be eaten by the delay
     if deficit <= 0:
@@ -534,18 +531,10 @@ def default_lock_loops(
     lands on its measured frequency.
     """
     controller = PidController(kp=1.0, ki=2.0 * math.pi * 100.0)
+    fast = TransferFunction.low_pass(1e7, gain=0.1)
+    slow = TransferFunction.low_pass(100.0, gain=0.05)
     loops = []
     for kind, crossover in zip(LOOP_KINDS, (opa_probe_crossover_hz, probe_lo_crossover_hz)):
-        fast = TransferFunction.low_pass(1e7, gain=0.1)
-        slow = TransferFunction.low_pass(100.0, gain=0.05)
-        delay = _solve_loop_delay(controller, fast, slow, crossover)
-        loops.append(
-            LoopModel(
-                controller=controller,
-                fast_plant=fast,
-                slow_plant=slow,
-                loop_delay=delay,
-                kind=kind,
-            )
-        )
+        loop = LoopModel(controller, fast, slow, kind=kind)
+        loops.append(replace(loop, loop_delay=_solve_loop_delay(loop, crossover)))
     return loops

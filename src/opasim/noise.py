@@ -10,8 +10,8 @@ s = sin^2(theta):
 
     R'_plus/minus = R_plus/minus * (1 - s) + R_minus/plus * s
 
-The kernels ``lossy`` and ``mix`` are the only place the loss and the mix
-are written; the dataclass API, the fit and the analyzer means call them.
+The kernels ``lossy`` and ``mix`` write the loss and the mix; the dataclass
+API, the analyzer means and P* call them; the fit and grid oracle inline them.
 They use no numpy calls, so floats stay Python floats (a numpy call costs
 about a microsecond per scalar) and arrays pass through the same arithmetic.
 Dataclasses only validate their invariants.
@@ -75,11 +75,10 @@ class OpaParams:
             raise DomainError(f"pump_power must be >= 0, got {self.pump_power}")
         if not 0.0 <= self.transmittance <= 1.0:
             raise DomainError(f"transmittance must be in [0, 1], got {self.transmittance}")
-        if 2.0 * math.sqrt(self.shg_efficiency * self.pump_power) > _MAX_GAIN:
-            raise DomainError(
-                f"parametric gain 2 sqrt(alpha P) must be <= {_MAX_GAIN:.1f}, got "
-                f"alpha {self.shg_efficiency} /W at P {self.pump_power} W"
-            )
+        raise DomainError(
+            f"parametric gain 2 sqrt(alpha P) must be <= {_MAX_GAIN:.1f}, got "
+            f"alpha {self.shg_efficiency} /W at P {self.pump_power} W"
+        )
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ class PhaseJitter:
             return
         _check_finite("theta", self.theta)
         # pi/2 is allowed as the quadrature-swap limit
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise DomainError(f"theta must be in [0, pi/2] rad, got {self.theta}")
+        raise DomainError(f"theta must be in [0, pi/2] rad, got {self.theta}")
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "PhaseJitter":

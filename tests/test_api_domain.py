@@ -38,12 +38,25 @@ PROBES = {
     "clearance_nan": (lambda: SCENARIO.detector.clearance_db(np.array([1e6, NAN])), "frequency .* got nan"),
     "circuit_level_zero": (lambda: SCENARIO.detector.circuit_level_dbm(0.0), "frequency .* got 0.0"),
     "circuit_ratio_nan": (lambda: SCENARIO.detector.circuit_ratio(NAN), "frequency .* got nan"),
+    # a negative f gives a finite shape when the exponent slope/10 is even (20 dB/decade here) ...
+    "circuit_level_negative": (lambda: SCENARIO.detector.circuit_level_dbm(-1e6), "frequency .* got -1000000.0"),
+    "circuit_level_negative_far": (lambda: SCENARIO.detector.circuit_level_dbm(-11e6),
+                                   "frequency .* got -11000000.0"),
+    "clearance_negative": (lambda: SCENARIO.detector.clearance_db(np.array([1e6, -1e6])),
+                           "frequency .* got -1000000.0"),
+    "circuit_ratio_negative": (lambda: SCENARIO.detector.circuit_ratio(-11e6), "frequency .* got -11000000.0"),
+    # ... and at -11 MHz when it is odd
+    "circuit_level_negative_odd": (lambda: dt.DetectorModel(slope_db_per_decade=30.0).circuit_level_dbm(-11e6),
+                                   "frequency .* got -11000000.0"),
     "budget_report_nan": (lambda: ft.loss_budget_report(SCENARIO.detection_budget, SCENARIO.detector, NAN),
                           "frequency .* got nan"),
     "from_db_overflow": (lambda: nz.from_db(1e5), "dB value"),
     "grid_points_per_decade_nan": (lambda: lp.log_frequency_grid(1.0, 10.0, NAN), "points_per_decade"),
-    # the grid is never allocated: its point count is checked first
-    "grid_points_per_decade_huge": (lambda: lp.log_frequency_grid(1.0, 10.0, 1e300), "points must be"),
+    # the grid is never allocated: its point count is checked first, and named by what sets it
+    "grid_points_per_decade_huge": (lambda: lp.log_frequency_grid(1.0, 10.0, 1e300),
+                                    r"points_per_decade 1e\+300 over 1 decades gives more than 1000000 points"),
+    "grid_point_count_overflows": (lambda: lp.log_frequency_grid(1e-300, 1e300, 1e307),
+                                   r"points_per_decade 1e\+307 over 600 decades"),
 }
 
 

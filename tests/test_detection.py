@@ -242,6 +242,14 @@ class TestFrequencySweep:
         assert float(np.max(sweep.clearance_db())) == pytest.approx(25.0, abs=0.01)
         assert det.select_measurement_frequency(sweep) == pytest.approx(11e6)
 
+    def test_traces_are_the_detector_levels(self, locked_bundle):
+        s = locked_bundle.scenario
+        sweep = det.sweep_frequency(s, 2e6, 50e6, 97)
+        f, ratio = sweep.frequencies_hz, s.detector.circuit_ratio(sweep.frequencies_hz)
+        assert np.array_equal(sweep.circuit.values_dbm, s.detector.circuit_level_dbm(f))
+        want = s.detector.shot_noise_dbm + 10.0 * np.log10(det._optical_pair(s).sq + ratio)
+        assert np.array_equal(sweep.squeezed.values_dbm, want)
+
     def test_squeezing_degrades_with_circuit_noise(self, locked_bundle):
         sweep = det.sweep_frequency(locked_bundle.scenario, 11e6, 50e6, 40)
         # above the clearance peak the displayed squeezing worsens monotonically

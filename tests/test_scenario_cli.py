@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opasim.cli import run
+from opasim.cli import _CSV_CHUNK_ROWS, _fmt, _write_csv, run
 from opasim.detection import MAX_POINTS, Trace, trace_extrema
 from opasim.errors import ScenarioParseError, ScenarioValidationError
 from opasim.scenario import (
@@ -359,6 +359,31 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in a report")
 
 
+class TestCsvWriter:
+    @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 3.0,
+                                   math.nan, math.inf, -math.inf])
+    def test_row_format_is_fmt(self, x):
+        assert "%.10g" % x == _fmt(np.float64(x))
+
+    def test_rows_across_chunks(self, tmp_path):
+        n = 2 * _CSV_CHUNK_ROWS + 3
+        a, b = np.linspace(-1.0, 1.0, n), np.random.default_rng(0).normal(size=n) * 1e300
+        _write_csv(tmp_path / "t.csv", "# head\na,b", a, b)
+        want = ["# head", "a,b"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(a, b)]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_memory_is_per_chunk(self, tmp_path):
+        a = np.linspace(0.0, 1.0, 200_000)
+        b = np.sin(a)
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "t.csv", "a,b", a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 class TestCli:
     SCN = str(SCENARIO_DIR / "zero_span_locked.scenario")
 
@@ -377,7 +402,7 @@ class TestCli:
     def test_simulate_report_hits_target(self, tmp_path):
         assert run_cli("simulate", self.SCN, "--out-dir", str(tmp_path), "--quiet") == 0
         report = json.loads((tmp_path / "simulate_report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert abs(report["results"]["relative_mean_db"] - (-8.30)) <= 0.10
 
     def test_bode_csv_format(self, tmp_path):
@@ -676,6 +701,19 @@ class TestCli:
         # the data are rounded to 1e-4 dB, so every 1-sigma error is tiny but nonzero
         for key in ("transmittance_sigma", "shg_efficiency_sigma_per_watt", "jitter_sigma_deg"):
             assert 0 < r[key] < 1e-4, key
+
+    def test_fit_report_is_strict_json(self, tmp_path, capsys):
+        # noiseless data at theta = 0 fit exactly, and the jitter's 1-sigma is infinite there
+        powers = np.linspace(0.2, 1.2, 6)
+        sq, anti = model_levels_db(powers, 0.85, 8.0, 0.0)
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("".join(f"{p},{s},{a}\n" for p, s, a in zip(powers, sq, anti)))
+        assert run_cli("fit", self.SCN, "--data", str(csv), "--out-dir", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text(), parse_constant=_reject_constant)
+        assert report["results"]["jitter_sigma_deg"] is None
+        assert report["warnings"] == ["jitter_sigma_deg is inf, reported as null"]
+        out = capsys.readouterr().out
+        assert "jitter_sigma_deg = None\n" in out and "warning = jitter_sigma_deg is inf" in out
 
     def test_fit_data_with_leading_comment(self, tmp_path):
         data = REPO / "scenarios" / "pump_sweep.csv"
