@@ -32,6 +32,8 @@ __all__ = [
     "select_measurement_frequency",
     "MAX_POINTS",
     "check_points",
+    "FREQUENCY_RANGE_HZ",
+    "check_frequencies",
 ]
 
 MAX_POINTS = 1_000_000  # cap on trace and sweep points, so no scenario asks for unbounded arrays
@@ -41,6 +43,21 @@ def check_points(points: int, minimum: int) -> None:
     """DomainError unless ``points`` is an integer in [minimum, MAX_POINTS]."""
     if not (isinstance(points, numbers.Integral) and minimum <= points <= MAX_POINTS):
         raise DomainError(f"points must be an integer in [{minimum}, {MAX_POINTS}], got {points}")
+
+
+# every frequency the API takes, from well below 1 Hz to above an optical carrier (~2e14 Hz)
+FREQUENCY_RANGE_HZ = (1e-6, 1e15)
+
+
+def check_frequencies(f, name: str) -> np.ndarray:
+    """``f`` as a float array; DomainError, naming ``name`` and the first bad
+    value, unless every value lies in FREQUENCY_RANGE_HZ (NaN fails too)."""
+    f = np.asarray(f, dtype=float)
+    lo, hi = FREQUENCY_RANGE_HZ
+    if not (lo <= f.min(initial=hi) and f.max(initial=lo) <= hi):
+        bad = f[~((lo <= f) & (f <= hi))].flat[0]
+        raise DomainError(f"{name} must be finite and in [{lo:g}, {hi:g}] Hz, got {float(bad)}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -61,22 +78,17 @@ class DetectorModel:
 
     def __post_init__(self):
         for field in fields(self):
-            nz._check_finite(field.name, getattr(self, field.name))
-        if self.peak_frequency_hz <= 0:
-            raise DomainError("peak_frequency_hz must be > 0")
-        if self.high_corner_hz <= 0:
-            raise DomainError("high_corner_hz must be > 0")
+            if field.name.endswith("_hz"):
+                check_frequencies(getattr(self, field.name), field.name)
+            else:
+                nz._check_finite(field.name, getattr(self, field.name))
         if self.slope_db_per_decade <= 0:
             raise DomainError("slope must be > 0 dB/decade")
         if self.peak_clearance_db <= 0:
             raise DomainError("circuit noise is not below shot noise at the peak frequency")
         # the low corner and the circuit floor are derived once, as plain
         # attributes; the minimum of (f_lo/f)^n + (f/f_hi)^n sits at sqrt(f_lo f_hi)
-        try:
-            f_lo = self.peak_frequency_hz**2 / self.high_corner_hz
-        except OverflowError:
-            f_lo = math.inf
-        object.__setattr__(self, "_f_lo", f_lo)
+        object.__setattr__(self, "_f_lo", self.peak_frequency_hz**2 / self.high_corner_hz)
         shape_at_peak = float(self._shape_db(self.peak_frequency_hz))
         floor = self.shot_noise_dbm - self.peak_clearance_db - shape_at_peak
         nz._check_finite("circuit-noise floor", floor)
@@ -87,11 +99,9 @@ class DetectorModel:
         return self._floor_dbm + self.analyzer_floor_offset_db
 
     def _shape_db(self, f) -> np.ndarray:
-        """The circuit-noise level over its floor (dB) at f > 0 Hz; inf where
-        it overflows, which an infinite f does too."""
-        f = np.asarray(f, dtype=float)
-        if not f.min(initial=math.inf) > 0:  # NaN fails too
-            raise DomainError(f"frequency must be finite and > 0 Hz, got {f[~(f > 0)][0]}")
+        """The circuit-noise level over its floor (dB) at f; inf where it
+        overflows, which only a steep slope makes it do."""
+        f = check_frequencies(f, "frequency")
         n = self.slope_db_per_decade / 10.0
         with np.errstate(all="ignore"):
             return 10.0 * np.log10(1.0 + (f / self.high_corner_hz) ** n + (self._f_lo / f) ** n)
@@ -99,9 +109,6 @@ class DetectorModel:
     def circuit_level_dbm(self, f) -> np.ndarray:
         shape_db = self._shape_db(f)
         if not math.isfinite(shape_db.max(initial=0.0)):
-            f = np.asarray(f, dtype=float)
-            if f.max() == math.inf:
-                raise DomainError(f"frequency must be finite and > 0 Hz, got {math.inf}")
             raise DomainError(
                 f"circuit_slope {self.slope_db_per_decade:g} dB_per_decade overflows the "
                 f"circuit-noise shape between {np.min(f):g} and {np.max(f):g} Hz"
@@ -127,18 +134,14 @@ class AnalyzerSettings:
     seed: int
 
     def __post_init__(self):
-        for name in ("center_frequency_hz", "span_hz", "rbw_hz", "vbw_hz", "sweep_time_s"):
-            nz._check_finite(name, getattr(self, name))
-        if not self.center_frequency_hz > 0:
-            raise DomainError("center_frequency must be > 0")
-        if not self.vbw_hz > 0:
-            raise DomainError("vbw must be > 0")
-        nz._check_finite("rbw/vbw", self.rbw_hz / self.vbw_hz)
+        for name in ("center_frequency_hz", "rbw_hz", "vbw_hz"):
+            check_frequencies(getattr(self, name), name)
+        nz._check_finite("sweep_time_s", self.sweep_time_s)
         if self.rbw_hz < self.vbw_hz:
             raise DomainError("rbw must be >= vbw")
         check_points(self.points, 2)
-        if self.span_hz < 0:
-            raise DomainError("span must be >= 0")
+        if not 0 <= self.span_hz <= FREQUENCY_RANGE_HZ[1]:  # a width, so zero span is valid
+            raise DomainError(f"span_hz must be in [0, {FREQUENCY_RANGE_HZ[1]:g}] Hz, got {self.span_hz}")
         if self.sweep_time_s <= 0:
             raise DomainError("sweep_time must be > 0")
         if self.seed < 0:
@@ -166,8 +169,8 @@ class Scenario:
     def __post_init__(self):
         if self.lock_mode not in ("locked", "scanned"):
             raise DomainError(f"lock_mode must be 'locked' or 'scanned', got {self.lock_mode!r}")
-        if self.lock_mode == "scanned" and not 0 < self.scan_rate_hz < math.inf:
-            raise DomainError(f"scan_rate must be finite and > 0 for scanned mode, got {self.scan_rate_hz}")
+        if self.lock_mode == "scanned":
+            check_frequencies(self.scan_rate_hz, "scan_rate_hz")
 
     @property
     def detection_transmittance(self) -> float:
@@ -263,8 +266,8 @@ class FrequencySweep:
 def sweep_frequency(s: Scenario, f_min: float, f_max: float, points: int = 97) -> FrequencySweep:
     """Analytic noise levels versus sideband frequency: squeezed, shot,
     circuit and analyzer-floor traces on a common linear grid."""
-    if not 0 < f_min < f_max < math.inf:
-        raise DomainError("need 0 < f_min < f_max < inf")
+    if not check_frequencies(f_min, "f_min") < check_frequencies(f_max, "f_max"):
+        raise DomainError(f"need f_min < f_max, got {f_min}, {f_max}")
     check_points(points, 1)
     f = np.linspace(f_min, f_max, points)
     q = _optical_pair(s)

@@ -22,9 +22,10 @@ from .errors import (
     InstabilityError,
     IntegrationError,
     NoFeasibleCandidateError,
+    NumericalError,
     SingularityError,
 )
-from .detection import MAX_POINTS
+from .detection import MAX_POINTS, check_frequencies
 from .noise import PhaseJitter
 
 __all__ = [
@@ -67,8 +68,7 @@ class TransferFunction:
 
     @classmethod
     def low_pass(cls, corner_hz: float, gain: float = 1.0) -> "TransferFunction":
-        if corner_hz <= 0:
-            raise DomainError(f"corner must be > 0 Hz, got {corner_hz}")
+        check_frequencies(corner_hz, "corner_hz")
         return cls(num=(gain,), den=(1.0, 1.0 / (2.0 * math.pi * corner_hz)))
 
     def response(self, f) -> np.ndarray:
@@ -77,30 +77,22 @@ class TransferFunction:
 
 
 def _laplace_s(f) -> np.ndarray:
-    """s = i 2 pi f for finite frequencies f > 0 Hz (scalar or array)."""
-    f = np.asarray(f, dtype=float)
-    if not (0 < f.min(initial=math.inf) and f.max(initial=0.0) < math.inf):  # NaN fails; empty f passes
-        raise DomainError("frequencies must be > 0 Hz and finite")
-    return (2j * math.pi) * f
+    """s = i 2 pi f for frequencies f in FREQUENCY_RANGE_HZ (scalar or array)."""
+    return (2j * math.pi) * check_frequencies(f, "frequency")
 
 
 def _rational(num: tuple[float, ...], den: tuple[float, ...], s: np.ndarray) -> np.ndarray:
     """num(s) / den(s) for ascending coefficients: a complex array shaped
-    like s.  A point where a polynomial overflows (only a huge |s| makes one
-    overflow, and the floating-point flags tell) takes z^(len(den) - len(num))
-    times the ratio of the reversed polynomials in z = 1/s instead."""
+    like s.  Inside the frequency range only huge coefficients overflow;
+    the floating-point flags tell, and that is a NumericalError."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             d, h = _horner(den, s), _horner(num, s)
-    except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z, d, h = 1.0 / s, _horner(den, s), _horner(num, s)
-            huge = ~(np.isfinite(d) & np.isfinite(h))
-            d = np.where(huge, _horner(den[::-1], z), d)
-            h = np.where(huge, _horner(num[::-1], z) * z ** (len(den) - len(num)), h)
-    if (d == 0).any():
-        raise SingularityError("denominator vanishes on the evaluation grid")
-    h /= d
+            if (d == 0).any():
+                raise SingularityError("denominator vanishes on the evaluation grid")
+            h /= d
+    except FloatingPointError as exc:
+        raise NumericalError(f"num {num} / den {den} overflows at these frequencies ({exc})") from exc
     return h
 
 
@@ -205,8 +197,9 @@ class StabilityMargins:
 
 
 def log_frequency_grid(f_min: float = 1e3, f_max: float = 2e7, points_per_decade: int = 200) -> np.ndarray:
-    if not (0 < f_min < f_max < math.inf and 0 < points_per_decade < math.inf):
-        raise DomainError(f"need 0 < f_min < f_max < inf and 0 < points_per_decade < inf, got "
+    if not (check_frequencies(f_min, "f_min") < check_frequencies(f_max, "f_max")
+            and 0 < points_per_decade < math.inf):
+        raise DomainError(f"need f_min < f_max and 0 < points_per_decade < inf, got "
                           f"{f_min!r}, {f_max!r}, {points_per_decade!r}")
     decades = math.log10(f_max) - math.log10(f_min)
     n = max(2, int(round(min(points_per_decade * decades, MAX_POINTS))) + 1)  # min: the product may be inf
@@ -313,8 +306,7 @@ def demod_frequency(shift_hz: float, loop_kind: str) -> float:
     """Beat frequency seen by a lock for a given AOM shift.  The squeezer
     lock beats at twice the shift (difference-frequency process in the OPA);
     the LO lock beats at the shift itself."""
-    if not 0 < shift_hz < math.inf:
-        raise DomainError(f"shift must be > 0 Hz, got {shift_hz}")
+    check_frequencies(shift_hz, "shift_hz")
     if loop_kind not in LOOP_KINDS:
         raise DomainError(f"unknown loop kind {loop_kind!r}")
     return 2.0 * shift_hz if loop_kind == "opa_probe" else shift_hz
@@ -337,20 +329,17 @@ def select_shift_frequency(
     cands = sorted(candidates)
     if not cands:
         raise NoFeasibleCandidateError("empty candidate list")
-    bad = [c for c in cands if not 0 < c < math.inf]
-    if bad:
-        raise DomainError(f"candidate shifts must be > 0 Hz, got {bad}")
-
-    shifts = np.array(cands)
+    shifts = check_frequencies(cands, "candidates")
     accepted = np.ones(shifts.size, dtype=bool)
     for loop in loops:
         grid, h, phase, m = loop._grid_analysis
         keeps_margins = (m.gain_margin_db is None or m.gain_margin_db >= min_gain_margin_db) and (
             m.phase_margin_deg is None or m.phase_margin_deg >= min_phase_margin_deg
         )
-        # the flat-band reference, 10 kHz, and the beats, linear in the shift
+        # the flat-band reference, 10 kHz, and the beats; a beat above the grid is
+        # rejected, so it is read at the grid's end, where a doubled shift stays in range
         f = np.concatenate(((1e4,), shifts * demod_frequency(1.0, loop.kind)))
-        h_f = loop.response(f)
+        h_f = loop.response(np.minimum(f, grid[-1]))
         beat, h_beat = f[1:], h_f[1:]
         with np.errstate(divide="ignore"):
             flat_db = 20.0 * np.log10(np.abs(h_beat) / np.abs(h_f[0]))
@@ -392,16 +381,14 @@ class PhaseNoiseSpectrum:
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
         if not 0 <= self.amplitude < math.inf:
             raise DomainError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not 0 < self.f_min < self.f_max < math.inf:
-            raise DomainError(f"need 0 < f_min < f_max < inf, got {self.f_min}, {self.f_max}")
+        if not check_frequencies(self.f_min, "f_min") < check_frequencies(self.f_max, "f_max"):
+            raise DomainError(f"need f_min < f_max, got {self.f_min}, {self.f_max}")
         if self.kind == "table":
             if len(self.frequencies_hz) != len(self.densities) or len(self.densities) < 2:
                 raise DomainError("table spectrum needs >= 2 matched points")
-            fs = self.frequencies_hz
-            # np.interp in density() needs strictly increasing knots
-            if not (all(math.isfinite(x) for x in fs) and fs[0] > 0
-                    and all(a < b for a, b in zip(fs, fs[1:]))):
-                raise DomainError("table frequencies must be finite, > 0 and strictly ascending")
+            fs = check_frequencies(self.frequencies_hz, "frequencies_hz")
+            if not (np.diff(fs) > 0).all():  # np.interp in density() needs strictly increasing knots
+                raise DomainError("table frequencies must be strictly ascending")
             if not all(math.isfinite(d) and d >= 0 for d in self.densities):
                 raise DomainError("densities must be finite and >= 0")
 
@@ -535,6 +522,7 @@ def default_lock_loops(
     slow = TransferFunction.low_pass(100.0, gain=0.05)
     loops = []
     for kind, crossover in zip(LOOP_KINDS, (opa_probe_crossover_hz, probe_lo_crossover_hz)):
+        check_frequencies(crossover, f"{kind}_crossover_hz")
         loop = LoopModel(controller, fast, slow, kind=kind)
         loops.append(replace(loop, loop_delay=_solve_loop_delay(loop, crossover)))
     return loops

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import ScenarioParseError, ScenarioValidationError, DomainError
 from . import noise as nz
 from .detection import (
-    MAX_POINTS, AnalyzerSettings, DetectorModel, Scenario, check_points,
+    MAX_POINTS, AnalyzerSettings, DetectorModel, Scenario, check_frequencies, check_points,
 )
 from .fitting import FitBounds
 from .loop import LoopModel, default_lock_loops
@@ -273,6 +273,8 @@ def loads_scenario(text: str, name: str = "<string>") -> ScenarioBundle:
         alpha_min=fb["alpha_min"], alpha_max=fb["alpha_max"], jitter_max_rad=fb["jitter_max"],
     )
     build("frequency_sweep", check_points, fs["points"], 1)
+    for section, key in (("lock_loops", "shift_candidates"), ("frequency_sweep", "start"), ("frequency_sweep", "stop")):
+        build(section, check_frequencies, values[section][key], key)
     loops = build("lock_loops", default_lock_loops, ll["opa_probe_crossover"], ll["probe_lo_crossover"])
     scenario = None
     if not errors:

@@ -26,7 +26,8 @@ class TestAnalyzerSettings:
             dataclasses.replace(locked_bundle.scenario.analyzer, **{field: value})
 
     def test_overflowing_video_averages_rejected(self, locked_bundle):
-        with pytest.raises(DomainError, match="rbw/vbw"):
+        # rbw/vbw would overflow, but rbw is outside the frequency range
+        with pytest.raises(DomainError, match=r"rbw_hz must be finite and in \[1e-06, 1e\+15\] Hz, got 1e\+300"):
             dataclasses.replace(locked_bundle.scenario.analyzer, rbw_hz=1e300, vbw_hz=1e-300)
 
     def test_negative_seed_rejected(self, locked_bundle):
@@ -79,13 +80,16 @@ class TestDetectorModel:
             det.DetectorModel(peak_frequency_hz=f_peak)
 
     @pytest.mark.parametrize(
-        "fields",
-        [{"peak_frequency_hz": 1e300}, {"peak_frequency_hz": 100e6, "slope_db_per_decade": 1e5}],
+        "fields, message",
+        [({"peak_frequency_hz": 1e300},
+          r"peak_frequency_hz must be finite and in \[1e-06, 1e\+15\] Hz, got 1e\+300"),
+         ({"peak_frequency_hz": 100e6, "slope_db_per_decade": 1e5}, "circuit-noise floor")],
         ids=["squared_peak", "steep_slope"],
     )
-    def test_overflowing_circuit_floor_rejected(self, fields):
+    def test_overflowing_circuit_floor_rejected(self, fields, message):
+        # a squared peak that would overflow lies outside the frequency range;
         # no RuntimeWarning either: pytest turns warnings into errors
-        with pytest.raises(DomainError, match="circuit-noise floor"):
+        with pytest.raises(DomainError, match=message):
             det.DetectorModel(**fields)
 
 
@@ -99,7 +103,7 @@ class TestScenario:
 class TestMeasuredNoiseRatio:
     @pytest.mark.parametrize("f", [math.nan, math.inf, 0.0, -1e6])
     def test_bad_frequency_is_named(self, locked_bundle, f):
-        with pytest.raises(DomainError, match="frequency must be finite and > 0 Hz"):
+        with pytest.raises(DomainError, match=rf"frequency must be finite and in \[1e-06, 1e\+15\] Hz, got {f}"):
             det.measured_noise_ratio(locked_bundle.scenario, f)
 
     def test_operating_point(self, locked_bundle):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from opasim.errors import (
     InstabilityError,
     IntegrationError,
     NoFeasibleCandidateError,
+    NumericalError,
     SingularityError,
 )
 from opasim.noise import PhaseJitter
@@ -153,20 +155,23 @@ class TestFoldedResponse:
         with pytest.raises(SingularityError):
             lp.TransferFunction((1.0,), (1.0, 0.0, 1.0 / (2 * math.pi) ** 2)).response([0.5, 1.0])
 
+    def test_huge_coefficients_are_a_numerical_error(self):
+        with pytest.raises(NumericalError, match=r"num \(0\.0, 0\.0, 1e\+300\) / den \(1\.0,\) overflows"):
+            lp.TransferFunction((0, 0, 1e300), (1,)).response(1e15)
+
     @pytest.mark.parametrize("f", [math.nan, [1.0, math.nan]])
     def test_nan_frequency_rejected(self, f):
         for system in (lp.default_lock_loops()[0], lp.TransferFunction.flat(1.0)):
-            with pytest.raises(DomainError, match="frequencies must be > 0 Hz"):
+            with pytest.raises(DomainError, match=r"frequency must be finite and in \[1e-06, 1e\+15\] Hz, got nan"):
                 system.response(f)
 
     def test_huge_frequencies_match_product(self):
-        # the cubic denominator overflows in s above ~1e102 Hz, so the
-        # rational is evaluated in 1/s there
+        # the folded rational at both ends of the frequency range
         loop = lp.default_lock_loops()[0]
         probe = lp.LoopModel(loop.controller, loop.fast_plant, loop.slow_plant)
-        f = np.geomspace(1e90, 1e300, 211)
-        ref = product_response(probe, f)
-        assert np.all(np.abs(probe.response(f) - ref) <= 1e-13 * np.abs(ref))
+        for f in (np.geomspace(1e9, 1e15, 211), np.geomspace(1e-6, 1.0, 211)):
+            ref = product_response(probe, f)
+            assert np.all(np.abs(probe.response(f) - ref) <= 1e-13 * np.abs(ref))
 
     def test_margins_grid_is_read_only(self):
         grid = lp._MARGINS_GRID
@@ -285,10 +290,19 @@ class TestStabilityMargins:
 
     @pytest.mark.parametrize("crossover", [1e110, 1e200])
     def test_crossover_where_the_folded_rational_overflows(self, crossover):
-        # at these frequencies the delay-free loop turns -90 deg, so the delay
-        # eats the other 90
+        # a crossover this high lies outside the frequency range, and is named
+        message = f"opa_probe_crossover_hz must be finite and in [1e-06, 1e+15] Hz, got {crossover}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            lp.default_lock_loops(opa_probe_crossover_hz=crossover)
+
+    def test_crossover_near_the_top_of_the_range(self):
+        # at 1e14 Hz the delay-free loop turns ~-90 deg, so the delay eats ~90
+        crossover = 1e14
         loop = lp.default_lock_loops(opa_probe_crossover_hz=crossover)[0]
-        assert loop.loop_delay == pytest.approx(0.25 / crossover, rel=1e-12)
+        probe = lp.LoopModel(loop.controller, loop.fast_plant, loop.slow_plant)
+        phase = math.degrees(np.angle(product_response(probe, crossover)))
+        assert loop.loop_delay == pytest.approx((180.0 + phase) / (360.0 * crossover), rel=1e-12)
+        assert loop.loop_delay == pytest.approx(0.25 / crossover, rel=1e-6)
         m = lp.stability_margins(loop)
         assert m.phase_crossover_hz is None and m.gain_margin_db is None
 
@@ -377,7 +391,7 @@ class TestShiftSelection:
 
     @pytest.mark.parametrize("cands", [[math.inf, 1e6], [1e6, -math.inf]])
     def test_non_finite_candidate_rejected_up_front(self, cands):
-        with pytest.raises(DomainError, match="candidate shifts must be > 0 Hz"):
+        with pytest.raises(DomainError, match=r"candidates must be finite and in \[1e-06, 1e\+15\] Hz, got -?inf"):
             lp.select_shift_frequency(lp.default_lock_loops(), cands)
 
     @pytest.mark.parametrize(
@@ -391,7 +405,11 @@ class TestShiftSelection:
             lp.select_shift_frequency(lp.default_lock_loops(), [0.5e6, 1e6], **rules)
 
     def test_candidate_whose_beat_overflows_the_rational_is_rejected(self):
-        assert lp.select_shift_frequency(lp.default_lock_loops(), [1e200, 1e6]) == 1e6
+        # 1e200 Hz lies outside the frequency range; 1e15 Hz does not, but
+        # its opa_probe beat does, and that beat is rejected, not evaluated
+        with pytest.raises(DomainError, match=r"candidates must be finite and in \[1e-06, 1e\+15\] Hz, got 1e\+200"):
+            lp.select_shift_frequency(lp.default_lock_loops(), [1e200, 1e6])
+        assert lp.select_shift_frequency(lp.default_lock_loops(), [1e15, 1e6]) == 1e6
 
     def test_relaxing_margins_is_monotone(self):
         loops = lp.default_lock_loops()
@@ -525,7 +543,7 @@ class TestDemodFrequency:
 
     @pytest.mark.parametrize("shift", [math.nan, math.inf])
     def test_non_finite_shift_rejected(self, shift):
-        with pytest.raises(DomainError, match="shift must be > 0 Hz"):
+        with pytest.raises(DomainError, match=rf"shift_hz must be finite and in \[1e-06, 1e\+15\] Hz, got {shift}"):
             lp.demod_frequency(shift, "opa_probe")
 
 

@@ -590,7 +590,8 @@ class TestCli:
         bad.write_text(MINIMAL.replace("center_frequency = 11 MHz", f"center_frequency = {center}"))
         assert run_cli("report", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "center_frequency must be > 0" in err[0], err
+        value = float(center.split()[0]) * (1e6 if "MHz" in center else 1.0)
+        assert len(err) == 1 and f"center_frequency_hz must be finite and in [1e-06, 1e+15] Hz, got {value}" in err[0], err
 
     @pytest.mark.parametrize("command", ["report", "budget", "simulate", "sweep"])
     def test_steep_circuit_slope_is_validation_error(self, tmp_path, capsys, command):
@@ -800,6 +801,25 @@ class TestCli:
         assert "lock_loops.opa_probe_crossover" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [("lock_loops", "shift_candidates = 1e308 Hz, 1 MHz", "lock_loops: shift_candidates {} 1e+308"),
+         ("lock_loops", "shift_candidates = 5e-324 Hz, 1 MHz", "lock_loops: shift_candidates {} 5e-324"),
+         ("lock_loops", "opa_probe_crossover = 1e308 Hz", "lock_loops: opa_probe_crossover_hz {} 1e+308"),
+         ("lock_loops", "probe_lo_crossover = 1e308 Hz", "lock_loops: probe_lo_crossover_hz {} 1e+308"),
+         ("frequency_sweep", "start = 0 Hz", "frequency_sweep: start {} 0.0"),
+         ("frequency_sweep", "stop = 1e308 Hz", "frequency_sweep: stop {} 1e+308")],
+        ids=["huge_shift", "subnormal_shift", "huge_opa_probe_crossover", "huge_probe_lo_crossover",
+             "zero_sweep_start", "huge_sweep_stop"],
+    )
+    def test_frequency_outside_the_range_exits_2_at_load(self, tmp_path, capsys, section, line, message):
+        # checked when the scenario loads, whatever the command
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL + f"\n[{section}]\n{line}\n")
+        assert run_cli("select-freq", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        message = message.format("must be finite and in [1e-06, 1e+15] Hz, got")
+        assert capsys.readouterr().err == f"error [validation]: {message}\n"
+
     @pytest.mark.parametrize("command", ["report", "simulate", "sweep"])
     def test_parametric_gain_overflow_is_validation_error(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.scenario"
@@ -851,9 +871,9 @@ def test_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_frequencies_past_overflow_in_s_run_without_warnings(tmp_path):
-    # above ~1e102 Hz the loops' cubic denominator overflows in s; numpy
-    # would warn on stderr, which the in-process tests turn into errors
+def test_frequencies_past_the_range_exit_2_without_warnings(tmp_path):
+    # both keys are rejected at load, before any loop is evaluated; a numpy
+    # warning would show on stderr, which the in-process tests turn into errors
     scn = tmp_path / "huge.scenario"
     scn.write_text(MINIMAL + "\n[lock_loops]\nopa_probe_crossover = 1e110 Hz\n"
                    "shift_candidates = 1e200 Hz, 1 MHz\n")
@@ -861,8 +881,10 @@ def test_frequencies_past_overflow_in_s_run_without_warnings(tmp_path):
         [sys.executable, "-m", "opasim", "select-freq", str(scn), "--out-dir", str(tmp_path)],
         env=src_env(), capture_output=True, text=True,
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert "shift_frequency_hz = 1000000" in proc.stdout
+    in_range = "must be finite and in [1e-06, 1e+15] Hz, got"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error [validation]: lock_loops: shift_candidates {in_range} 1e+200; "
+                           f"lock_loops: opa_probe_crossover_hz {in_range} 1e+110\n")
 
 
 def test_python_dash_m_runs_cli(tmp_path):
