@@ -171,6 +171,8 @@ class Scenario:
             raise DomainError(f"lock_mode must be 'locked' or 'scanned', got {self.lock_mode!r}")
         if self.lock_mode == "scanned":
             check_frequencies(self.scan_rate_hz, "scan_rate_hz")
+            if math.isinf(2.0 * math.pi * self.scan_rate_hz * self.analyzer.sweep_time_s):  # the last scan phase
+                raise DomainError("scan_rate times sweep_time overflows the scan phase 2 pi scan_rate t")
 
     @property
     def detection_transmittance(self) -> float:

@@ -330,6 +330,8 @@ def optimal_pump_power(
             "no jitter: squeezing improves without bound as pump power grows"
         )
     p_star = math.log(1.0 / math.tan(theta_rad)) ** 2 / (4.0 * alpha)
+    if p_star == math.inf:  # a subnormal theta, whose cot overflows
+        raise UnboundedOptimumError(f"jitter {theta_rad!r} rad is too small for a finite optimal pump power")
     mm, mp = _mixed_pair(np.array([p_star]), eta, alpha, nz.sin2(theta_rad))
     return OperatingPoint(
         pump_power_w=p_star,

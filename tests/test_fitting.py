@@ -347,6 +347,11 @@ class TestOptimalPumpPower:
         with pytest.raises(UnboundedOptimumError):
             ft.optimal_pump_power(TRUE_ETA, TRUE_ALPHA, 0.0)
 
+    def test_subnormal_jitter_is_unbounded(self):
+        # cot(5e-324) overflows, so P* would be inf
+        with pytest.raises(UnboundedOptimumError, match="5e-324 rad is too small"):
+            ft.optimal_pump_power(0.88, 8.2, 5e-324)
+
     def test_transmittance_invariance(self):
         ref = ft.optimal_pump_power(0.88, TRUE_ALPHA, TRUE_THETA).pump_power_w
         for eta in (0.3, 0.6, 1.0):

@@ -775,6 +775,20 @@ class TestCli:
         jitter_free.write_text(MINIMAL.replace("0.8 deg", "0 deg"))
         assert run_cli("optimize", str(jitter_free), "--out-dir", str(tmp_path), "--quiet") == 4
 
+    def test_subnormal_jitter_optimize_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL.replace("0.8 deg", "5e-324 rad"))
+        assert run_cli("optimize", str(bad), "--out-dir", str(tmp_path), "--quiet") == 4
+        assert capsys.readouterr().err == (
+            "error [infeasible]: jitter 5e-324 rad is too small for a finite optimal pump power\n")
+
+    def test_overflowing_scan_phase_exits_2_at_load(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(MINIMAL.replace("0.8 deg", "0.8 deg\nlock_mode = scanned").replace("0.1 s", "1e308 s"))
+        assert run_cli("simulate", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
+        assert capsys.readouterr().err == (
+            "error [validation]: scenario: scan_rate times sweep_time overflows the scan phase 2 pi scan_rate t\n")
+
     @pytest.mark.parametrize(
         "rbw, vbw",
         [("inf Hz", "1 kHz"), ("nan Hz", "1 kHz"), ("1e300 Hz", "1e-300 Hz")],
