@@ -54,6 +54,8 @@ def check_frequencies(f, name: str) -> np.ndarray:
     value, unless every value lies in FREQUENCY_RANGE_HZ (NaN fails too)."""
     f = np.asarray(f, dtype=float)
     lo, hi = FREQUENCY_RANGE_HZ
+    if f.ndim == 0 and lo <= f.item() <= hi:  # a scalar in range: one comparison, no reductions
+        return f
     if not (lo <= f.min(initial=hi) and f.max(initial=lo) <= hi):
         bad = f[~((lo <= f) & (f <= hi))].flat[0]
         raise DomainError(f"{name} must be finite and in [{lo:g}, {hi:g}] Hz, got {float(bad)}")
