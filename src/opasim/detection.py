@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_scalar
 from . import noise as nz
 
 __all__ = [
@@ -83,18 +83,16 @@ class DetectorModel:
             if field.name.endswith("_hz"):
                 check_frequencies(getattr(self, field.name), field.name)
             else:
-                nz._check_finite(field.name, getattr(self, field.name))
-        if self.slope_db_per_decade <= 0:
-            raise DomainError("slope must be > 0 dB/decade")
-        if self.peak_clearance_db <= 0:
-            raise DomainError("circuit noise is not below shot noise at the peak frequency")
+                check_scalar(getattr(self, field.name), field.name)
+        check_scalar(self.slope_db_per_decade, "slope_db_per_decade", 0.0, open_lo=True, unit=" dB/decade")
+        # circuit noise below shot noise at the peak frequency
+        check_scalar(self.peak_clearance_db, "peak_clearance_db", 0.0, open_lo=True, unit=" dB")
         # the low corner and the circuit floor are derived once, as plain
         # attributes; the minimum of (f_lo/f)^n + (f/f_hi)^n sits at sqrt(f_lo f_hi)
         object.__setattr__(self, "_f_lo", self.peak_frequency_hz**2 / self.high_corner_hz)
         shape_at_peak = float(self._shape_db(self.peak_frequency_hz))
         floor = self.shot_noise_dbm - self.peak_clearance_db - shape_at_peak
-        nz._check_finite("circuit-noise floor", floor)
-        object.__setattr__(self, "_floor_dbm", floor)
+        object.__setattr__(self, "_floor_dbm", check_scalar(floor, "circuit-noise floor"))
 
     @property
     def analyzer_floor_dbm(self) -> float:
@@ -138,16 +136,13 @@ class AnalyzerSettings:
     def __post_init__(self):
         for name in ("center_frequency_hz", "rbw_hz", "vbw_hz"):
             check_frequencies(getattr(self, name), name)
-        nz._check_finite("sweep_time_s", self.sweep_time_s)
+        check_scalar(self.sweep_time_s, "sweep_time_s", 0.0, open_lo=True, unit=" s")
         if self.rbw_hz < self.vbw_hz:
             raise DomainError("rbw must be >= vbw")
         check_points(self.points, 2)
-        if not 0 <= self.span_hz <= FREQUENCY_RANGE_HZ[1]:  # a width, so zero span is valid
-            raise DomainError(f"span_hz must be in [0, {FREQUENCY_RANGE_HZ[1]:g}] Hz, got {self.span_hz}")
-        if self.sweep_time_s <= 0:
-            raise DomainError("sweep_time must be > 0")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        check_scalar(self.span_hz, "span_hz", 0.0, FREQUENCY_RANGE_HZ[1], unit=" Hz")  # a width: zero span is valid
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DomainError(f"seed must be >= 0 and an integer, got {self.seed}")
 
     @property
     def video_averages(self) -> int:
@@ -303,6 +298,8 @@ def trace_extrema(trace: Trace) -> tuple[float, float]:
     points is one window, so its upper envelope is its mean, which is never
     below its minimum.
     """
+    if trace.values_dbm.size == 0:
+        raise DomainError("empty trace")
     # linear power relative to the trace's top, so no level overflows
     top = trace.values_dbm.max()
     lin = 10.0 ** ((trace.values_dbm - top) / 10.0)

@@ -4,6 +4,8 @@ Each error carries an exit code so the CLI can map failures onto the
 documented process exit statuses (2 validation, 3 numerical, 4 infeasible).
 """
 
+import math
+
 
 class ToolError(Exception):
     exit_code = 1
@@ -15,6 +17,23 @@ class DomainError(ToolError, ValueError):
 
     exit_code = 2
     category = "validation"
+
+
+def check_scalar(value, name, lo=-math.inf, hi=math.inf, *, open_lo=False, open_hi=False, unit=""):
+    """``value`` when it is finite and lies in [lo, hi], an end open where
+    ``open_lo`` or ``open_hi`` says; else a DomainError naming ``name`` and
+    the value.  For floats: math.isfinite overflows on huge integers."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {float(value)!r}")
+    if (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi):
+        return value
+    if hi == math.inf:
+        where = f"{'>' if open_lo else '>='} {lo:g}"
+    elif lo == -math.inf:
+        where = f"{'<' if open_hi else '<='} {hi:g}"
+    else:
+        where = f"in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+    raise DomainError(f"{name} must be {where}{unit}, got {float(value)}")
 
 
 class ScenarioParseError(DomainError):

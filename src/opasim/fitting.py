@@ -15,11 +15,11 @@ or on a projected-gradient (KKT) test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NonConvergenceError, UnboundedOptimumError
+from .errors import DomainError, InfeasibleError, NonConvergenceError, UnboundedOptimumError, check_scalar
 from . import noise as nz
 from .detection import MAX_POINTS, DetectorModel
 
@@ -47,9 +47,9 @@ class PumpSweepPoint:
     def __post_init__(self):
         if not (0.0 <= self.pump_power_w < math.inf and -math.inf < self.squeezing_db < math.inf
                 and -math.inf < self.anti_squeezing_db < math.inf):  # one comparison chain when valid
-            for field in fields(self):
-                nz._check_finite(field.name, getattr(self, field.name))
-            raise DomainError(f"pump power must be >= 0, got {self.pump_power_w}")
+            check_scalar(self.pump_power_w, "pump_power_w", 0.0)
+            check_scalar(self.squeezing_db, "squeezing_db")
+            check_scalar(self.anti_squeezing_db, "anti_squeezing_db")
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,11 @@ class FitBounds:
     jitter_max_rad: float = math.radians(5.0)
 
     def __post_init__(self):
-        if not 0 <= self.eta_min < self.eta_max <= 1:
-            raise DomainError("need 0 <= eta_min < eta_max <= 1")
-        if not 0 < self.alpha_min < self.alpha_max < math.inf:
-            raise DomainError("need 0 < alpha_min < alpha_max < inf")
-        if not 0 < self.jitter_max_rad < math.pi / 2:
-            raise DomainError("jitter_max must be in (0, pi/2) rad")
+        check_scalar(self.eta_min, "eta_min", 0.0, 1.0, open_hi=True)
+        check_scalar(self.eta_max, "eta_max", self.eta_min, 1.0, open_lo=True)
+        check_scalar(self.alpha_min, "alpha_min", 0.0, open_lo=True)
+        check_scalar(self.alpha_max, "alpha_max", self.alpha_min, open_lo=True)
+        check_scalar(self.jitter_max_rad, "jitter_max_rad", 0.0, math.pi / 2, open_lo=True, open_hi=True, unit=" rad")
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,9 @@ def _levenberg_marquardt(x0, root_p, data, lo, hi):
     the Jacobian is built only at the points a step accepts.
     """
     width = [h - l for l, h in zip(lo, hi)]
-    x = [min(max(float(v), l), h) for v, l, h in zip(x0, lo, hi)]
+    # a start outside the box is clipped into it; NaN, which no clip moves, is refused
+    x = [check_scalar(min(max(float(v), l), h), f"initial {name}", l, h)
+         for v, l, h, name in zip(x0, lo, hi, ("eta", "alpha", "sin^2 theta"))]
     res, levels = _stacked_levels(x, root_p, data)
     cost = float(res @ res)
     jac = _jacobian(x, root_p, *levels)
@@ -277,7 +278,7 @@ def fit_pump_sweep(
         x0 = [(l + h) / 2.0 for l, h in zip(lo, hi)]
     else:
         eta0, alpha0, theta0 = initial
-        x0 = [eta0, alpha0, nz.sin2(theta0)]
+        x0 = [eta0, alpha0, nz.sin2(check_scalar(theta0, "initial theta"))]
     root_p = np.sqrt(powers)
     root_p = np.concatenate((-root_p, root_p[::-1]))
     x, jac, cost, converged, it = _levenberg_marquardt(
@@ -319,12 +320,9 @@ def optimal_pump_power(
     With theta = 0 the squeezing improves monotonically with pump power and
     there is no interior optimum.
     """
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be finite and > 0, got {alpha}")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must be in [0, 1], got {eta}")
-    if not 0 <= theta_rad < math.pi / 2:
-        raise DomainError(f"theta must be in [0, pi/2) rad, got {theta_rad}")
+    check_scalar(alpha, "alpha", 0.0, open_lo=True)
+    check_scalar(eta, "eta", 0.0, 1.0)
+    check_scalar(theta_rad, "theta", 0.0, math.pi / 2, open_hi=True, unit=" rad")
     if theta_rad == 0.0:
         raise UnboundedOptimumError(
             "no jitter: squeezing improves without bound as pump power grows"
@@ -369,11 +367,11 @@ def grid_search_optimal_pump(
     in [1e-4, 100] W, so the grid holds at most MAX_POINTS points, and the
     grid ends a step below the pump power where the gain 2 sqrt(alpha P)
     reaches nz._MAX_GAIN, so every exp it takes is finite."""
-    if not (0.0 <= eta <= 1.0 and 0.0 < alpha < math.inf and theta_rad < math.pi / 2
-            and _GRID_STEP_W <= p_max <= _GRID_CAP_W):
-        raise DomainError(f"need 0 <= eta <= 1, 0 < alpha < inf, theta < pi/2 rad and {_GRID_STEP_W} <= "
-                          f"p_max <= {_GRID_CAP_W:g} W, got {eta}, {alpha} /W, {theta_rad} rad, {p_max} W")
-    if theta_rad <= 0:
+    check_scalar(eta, "eta", 0.0, 1.0)
+    check_scalar(alpha, "alpha", 0.0, open_lo=True)
+    check_scalar(theta_rad, "theta", 0.0, math.pi / 2, open_hi=True, unit=" rad")
+    check_scalar(p_max, "p_max", _GRID_STEP_W, _GRID_CAP_W, unit=" W")
+    if theta_rad == 0.0:
         raise UnboundedOptimumError("grid search needs theta > 0")
     s = nz.sin2(theta_rad)
     step = _GRID_STEP_W

@@ -24,6 +24,7 @@ from .errors import (
     NoFeasibleCandidateError,
     NumericalError,
     SingularityError,
+    check_scalar,
 )
 from .detection import MAX_POINTS, check_frequencies
 from .noise import PhaseJitter
@@ -127,8 +128,8 @@ class PidController:
     ki: float = 0.0  # gain on 1/s, i.e. rad/s scale
 
     def __post_init__(self):
-        if not (math.isfinite(self.kp) and math.isfinite(self.ki)):
-            raise DomainError(f"PI gains must be finite, got kp {self.kp}, ki {self.ki}")
+        check_scalar(self.kp, "kp")
+        check_scalar(self.ki, "ki")
         if self.kp == 0.0 and self.ki == 0.0:
             raise DomainError("at least one PI gain must be nonzero")
 
@@ -153,8 +154,7 @@ class LoopModel:
     def __post_init__(self):
         if self.kind not in LOOP_KINDS:
             raise DomainError(f"kind must be one of {LOOP_KINDS}, got {self.kind!r}")
-        if not 0 <= self.loop_delay < math.inf:
-            raise DomainError(f"loop_delay must be finite and >= 0, got {self.loop_delay}")
+        check_scalar(self.loop_delay, "loop_delay", 0.0, 1.0, unit=" s")  # solved delays are <= 0.5 s
         # the loop is frozen, so controller x (fast + slow), the delay-free
         # open loop, is folded into one rational (num, den) once
         c, fast, slow = self.controller.transfer_function(), self.fast_plant, self.slow_plant
@@ -197,10 +197,9 @@ class StabilityMargins:
 
 
 def log_frequency_grid(f_min: float = 1e3, f_max: float = 2e7, points_per_decade: int = 200) -> np.ndarray:
-    if not (check_frequencies(f_min, "f_min") < check_frequencies(f_max, "f_max")
-            and 0 < points_per_decade < math.inf):
-        raise DomainError(f"need f_min < f_max and 0 < points_per_decade < inf, got "
-                          f"{f_min!r}, {f_max!r}, {points_per_decade!r}")
+    if not check_frequencies(f_min, "f_min") < check_frequencies(f_max, "f_max"):
+        raise DomainError(f"need f_min < f_max, got {f_min!r}, {f_max!r}")
+    check_scalar(points_per_decade, "points_per_decade", 0.0, open_lo=True)
     decades = math.log10(f_max) - math.log10(f_min)
     n = max(2, int(round(min(points_per_decade * decades, MAX_POINTS))) + 1)  # min: the product may be inf
     if n > MAX_POINTS:
@@ -323,9 +322,9 @@ def select_shift_frequency(
     in the flat-gain region (within flat_band_db of the gain at 10 kHz) and
     keeps both margins.  Higher is preferred so the locks can be driven as
     fast as the loops allow without oscillating."""
-    if not (0 <= min_gain_margin_db < math.inf and 0 <= min_phase_margin_deg < math.inf
-            and 0 <= flat_band_db < math.inf):
-        raise DomainError("margins and flat band must be finite and >= 0")
+    check_scalar(min_gain_margin_db, "min_gain_margin_db", 0.0, unit=" dB")
+    check_scalar(min_phase_margin_deg, "min_phase_margin_deg", 0.0, unit=" deg")
+    check_scalar(flat_band_db, "flat_band_db", 0.0, unit=" dB")
     cands = sorted(candidates)
     if not cands:
         raise NoFeasibleCandidateError("empty candidate list")
@@ -379,8 +378,7 @@ class PhaseNoiseSpectrum:
     def __post_init__(self):
         if self.kind not in ("white", "one_over_f2", "table"):
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
-        if not 0 <= self.amplitude < math.inf:
-            raise DomainError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        check_scalar(self.amplitude, "amplitude", 0.0)
         if not check_frequencies(self.f_min, "f_min") < check_frequencies(self.f_max, "f_max"):
             raise DomainError(f"need f_min < f_max, got {self.f_min}, {self.f_max}")
         if self.kind == "table":
@@ -389,8 +387,8 @@ class PhaseNoiseSpectrum:
             fs = check_frequencies(self.frequencies_hz, "frequencies_hz")
             if not (np.diff(fs) > 0).all():  # np.interp in density() needs strictly increasing knots
                 raise DomainError("table frequencies must be strictly ascending")
-            if not all(math.isfinite(d) and d >= 0 for d in self.densities):
-                raise DomainError("densities must be finite and >= 0")
+            for i, d in enumerate(self.densities):
+                check_scalar(d, f"densities[{i}]", 0.0)
 
     def density(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)

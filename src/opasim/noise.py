@@ -24,7 +24,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, check_scalar
 
 __all__ = [
     "OpaParams",
@@ -46,11 +46,6 @@ _LN10_OVER_10 = math.log(10.0) / 10.0
 _MAX_GAIN = math.log(sys.float_info.max)  # largest 2 sqrt(alpha P) whose exp is finite
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OpaParams:
     """Squeezer operating point: SHG efficiency [1/W], pump power [W],
@@ -66,15 +61,9 @@ class OpaParams:
         if (0.0 <= self.transmittance <= 1.0 and alpha >= 0.0 and power >= 0.0
                 and 2.0 * math.sqrt(alpha * power) <= _MAX_GAIN):
             return
-        _check_finite("shg_efficiency", self.shg_efficiency)
-        _check_finite("pump_power", self.pump_power)
-        _check_finite("transmittance", self.transmittance)
-        if self.shg_efficiency < 0:
-            raise DomainError(f"shg_efficiency must be >= 0, got {self.shg_efficiency}")
-        if self.pump_power < 0:
-            raise DomainError(f"pump_power must be >= 0, got {self.pump_power}")
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise DomainError(f"transmittance must be in [0, 1], got {self.transmittance}")
+        check_scalar(alpha, "shg_efficiency", 0.0)
+        check_scalar(power, "pump_power", 0.0)
+        check_scalar(self.transmittance, "transmittance", 0.0, 1.0)
         raise DomainError(
             f"parametric gain 2 sqrt(alpha P) must be <= {_MAX_GAIN:.1f}, got "
             f"alpha {self.shg_efficiency} /W at P {self.pump_power} W"
@@ -92,7 +81,7 @@ class QuadraturePair:
         if 0.0 < self.anti < math.inf and 0.0 < self.sq < math.inf:
             return
         for name, v in (("anti", self.anti), ("sq", self.sq)):
-            _check_finite(name, v)
+            check_scalar(v, name)
             if v <= 0:
                 raise DomainError(f"{name} variance must be > 0, got {v}")
 
@@ -106,7 +95,7 @@ class PhaseJitter:
     def __post_init__(self):
         if 0.0 <= self.theta <= math.pi / 2:
             return
-        _check_finite("theta", self.theta)
+        check_scalar(self.theta, "theta")
         # pi/2 is allowed as the quadrature-swap limit
         raise DomainError(f"theta must be in [0, pi/2] rad, got {self.theta}")
 
@@ -125,9 +114,7 @@ class LossElement:
     loss: float
 
     def __post_init__(self):
-        _check_finite(f"loss[{self.label}]", self.loss)
-        if not 0.0 <= self.loss <= 1.0:
-            raise DomainError(f"loss[{self.label}] must be in [0, 1], got {self.loss}")
+        check_scalar(self.loss, f"loss[{self.label}]", 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -192,7 +179,7 @@ def to_db(ratio: float) -> float:
 
 
 def from_db(db: float) -> float:
-    _check_finite("dB value", db)
+    check_scalar(db, "dB value")
     if db * _LN10_OVER_10 > _MAX_GAIN:
         raise DomainError(f"dB value must be <= {_MAX_GAIN / _LN10_OVER_10:.1f}, got {db}")
     return math.exp(db * _LN10_OVER_10)
@@ -201,8 +188,7 @@ def from_db(db: float) -> float:
 def apply_loss(q: QuadraturePair, transmittance: float) -> QuadraturePair:
     """Propagate both variances through a beamsplitter-type loss:
     R -> (1 - eta) + eta * R."""
-    if not 0.0 <= transmittance <= 1.0:
-        raise DomainError(f"transmittance must be in [0, 1], got {transmittance}")
+    check_scalar(transmittance, "transmittance", 0.0, 1.0)
     return QuadraturePair(anti=lossy(q.anti, transmittance), sq=lossy(q.sq, transmittance))
 
 
@@ -213,10 +199,8 @@ def invert_loss(r_measured: float, transmittance: float) -> float:
     contribution of the loss itself, i.e. inconsistent with the claimed
     transmittance.
     """
-    if not 0.0 < transmittance <= 1.0:
-        raise DomainError(f"transmittance must be in (0, 1], got {transmittance}")
-    if r_measured <= 0 or not math.isfinite(r_measured):
-        raise DomainError(f"measured ratio must be > 0, got {r_measured!r}")
+    check_scalar(transmittance, "transmittance", 0.0, 1.0, open_lo=True)
+    check_scalar(r_measured, "measured ratio", 0.0, open_lo=True)
     out = (r_measured - (1.0 - transmittance)) / transmittance
     if out <= 0:
         raise InfeasibleError(
@@ -228,8 +212,7 @@ def invert_loss(r_measured: float, transmittance: float) -> float:
 
 def visibility_to_loss(visibility: float) -> float:
     """Mode-mismatch loss implied by a fringe visibility: 1 - V^2."""
-    if not 0.0 <= visibility <= 1.0:
-        raise DomainError(f"visibility must be in [0, 1], got {visibility}")
+    check_scalar(visibility, "visibility", 0.0, 1.0)
     return 1.0 - visibility**2
 
 
@@ -237,7 +220,7 @@ def clearance_to_equiv_loss(clearance_db: float) -> float:
     """Optical loss equivalent to electronic noise a given clearance (dB)
     below shot noise: 10^(-C/10).  Clearance <= 0 dB (noise at or above
     shot) is allowed but flagged with a warning."""
-    _check_finite("clearance", clearance_db)
+    check_scalar(clearance_db, "clearance")
     loss = from_db(-clearance_db)
     if loss >= 1.0:
         warnings.warn(

@@ -1,7 +1,9 @@
 """Calls of the public API outside its domain: each raises DomainError,
 with no numpy warning on the way and no other exception type."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from opasim import detection as dt
 from opasim import fitting as ft
 from opasim import loop as lp
 from opasim import noise as nz
-from opasim.errors import DomainError
+from opasim.errors import DomainError, ToolError
 from opasim.scenario import load_scenario
 
 from conftest import SCENARIO_DIR
@@ -75,3 +77,93 @@ def test_grid_over_the_whole_frequency_range():
     assert grid.size == 22 and grid[0] == 1e-6 and grid[-1] == pytest.approx(1e15, rel=1e-12)
     with pytest.raises(DomainError, match=f"f_min {IN_RANGE} 1e-300"):
         lp.log_frequency_grid(1e-300, 1e15, 1)
+
+
+LOOP = lp.default_lock_loops()[0]
+LOOPS = lp.default_lock_loops()
+HALF_PI = math.pi / 2
+
+# (call with the value, the parameter's name, lo, hi, open_lo, open_hi): each
+# scalar domain as its check_scalar call declares it; the other arguments are valid
+DECLARED = [
+    (lambda v: nz.OpaParams(v, 0.5, 0.9), "shg_efficiency", 0.0, INF, False, False),
+    (lambda v: nz.OpaParams(1.0, v, 0.9), "pump_power", 0.0, INF, False, False),
+    (lambda v: nz.OpaParams(1.0, 0.5, v), "transmittance", 0.0, 1.0, False, False),
+    (lambda v: nz.QuadraturePair(v, 0.5), "anti", 0.0, INF, True, False),
+    (lambda v: nz.QuadraturePair(2.0, v), "sq", 0.0, INF, True, False),
+    (lambda v: nz.PhaseJitter(v), "theta", 0.0, HALF_PI, False, False),
+    (lambda v: nz.LossElement("lens", v), "loss[lens]", 0.0, 1.0, False, False),
+    (lambda v: nz.from_db(v), "dB value", -INF, INF, False, False),
+    (lambda v: nz.apply_loss(nz.QuadraturePair(2.0, 0.5), v), "transmittance", 0.0, 1.0, False, False),
+    (lambda v: nz.invert_loss(1.5, v), "transmittance", 0.0, 1.0, True, False),
+    (lambda v: nz.invert_loss(v, 0.9), "measured ratio", 0.0, INF, True, False),
+    (lambda v: nz.visibility_to_loss(v), "visibility", 0.0, 1.0, False, False),
+    (lambda v: nz.clearance_to_equiv_loss(v), "clearance", -INF, INF, False, False),
+    (lambda v: lp.PidController(kp=v, ki=1.0), "kp", -INF, INF, False, False),
+    (lambda v: lp.PidController(kp=1.0, ki=v), "ki", -INF, INF, False, False),
+    (lambda v: lp.LoopModel(LOOP.controller, LOOP.fast_plant, LOOP.slow_plant, loop_delay=v),
+     "loop_delay", 0.0, 1.0, False, False),
+    (lambda v: lp.log_frequency_grid(1.0, 10.0, v), "points_per_decade", 0.0, INF, True, False),
+    (lambda v: lp.select_shift_frequency(LOOPS, [1e6], min_gain_margin_db=v), "min_gain_margin_db",
+     0.0, INF, False, False),
+    (lambda v: lp.select_shift_frequency(LOOPS, [1e6], min_phase_margin_deg=v), "min_phase_margin_deg",
+     0.0, INF, False, False),
+    (lambda v: lp.select_shift_frequency(LOOPS, [1e6], flat_band_db=v), "flat_band_db", 0.0, INF, False, False),
+    (lambda v: lp.PhaseNoiseSpectrum(amplitude=v), "amplitude", 0.0, INF, False, False),
+    (lambda v: lp.PhaseNoiseSpectrum("table", frequencies_hz=(1.0, 10.0), densities=(1.0, v)),
+     "densities[1]", 0.0, INF, False, False),
+    (lambda v: ft.PumpSweepPoint(v, -5.0, 12.0), "pump_power_w", 0.0, INF, False, False),
+    (lambda v: ft.PumpSweepPoint(0.3, v, 12.0), "squeezing_db", -INF, INF, False, False),
+    (lambda v: ft.PumpSweepPoint(0.3, -5.0, v), "anti_squeezing_db", -INF, INF, False, False),
+    (lambda v: ft.FitBounds(eta_min=v), "eta_min", 0.0, 1.0, False, True),
+    (lambda v: ft.FitBounds(eta_max=v), "eta_max", 0.5, 1.0, True, False),
+    (lambda v: ft.FitBounds(alpha_min=v), "alpha_min", 0.0, INF, True, False),
+    (lambda v: ft.FitBounds(alpha_max=v), "alpha_max", 1.0, INF, True, False),
+    (lambda v: ft.FitBounds(jitter_max_rad=v), "jitter_max_rad", 0.0, HALF_PI, True, True),
+    (lambda v: ft.optimal_pump_power(ETA, v, THETA), "alpha", 0.0, INF, True, False),
+    (lambda v: ft.optimal_pump_power(v, ALPHA, THETA), "eta", 0.0, 1.0, False, False),
+    (lambda v: ft.optimal_pump_power(ETA, ALPHA, v), "theta", 0.0, HALF_PI, False, True),
+    (lambda v: ft.grid_search_optimal_pump(v, ALPHA, THETA), "eta", 0.0, 1.0, False, False),
+    (lambda v: ft.grid_search_optimal_pump(ETA, v, THETA), "alpha", 0.0, INF, True, False),
+    (lambda v: ft.grid_search_optimal_pump(ETA, ALPHA, v), "theta", 0.0, HALF_PI, False, True),
+    (lambda v: ft.grid_search_optimal_pump(ETA, ALPHA, THETA, p_max=v), "p_max", 1e-4, 100.0, False, False),
+    (lambda v: dt.DetectorModel(shot_noise_dbm=v), "shot_noise_dbm", -INF, INF, False, False),
+    (lambda v: dt.DetectorModel(peak_clearance_db=v), "peak_clearance_db", 0.0, INF, True, False),
+    (lambda v: dt.DetectorModel(slope_db_per_decade=v), "slope_db_per_decade", 0.0, INF, True, False),
+    (lambda v: dt.DetectorModel(analyzer_floor_offset_db=v), "analyzer_floor_offset_db", -INF, INF, False, False),
+    (lambda v: dataclasses.replace(SCENARIO.analyzer, span_hz=v), "span_hz", 0.0, 1e15, False, False),
+    (lambda v: dataclasses.replace(SCENARIO.analyzer, sweep_time_s=v), "sweep_time_s", 0.0, INF, True, False),
+]
+
+
+def _declared_cases():
+    """(entry, value, rejected) for every declared parameter: NaN and +-inf
+    are rejected; at each finite end, a closed end is accepted and the value
+    just outside it rejected, an open end rejected and the value just inside
+    it accepted."""
+    for i, (_, name, lo, hi, open_lo, open_hi) in enumerate(DECLARED):
+        for value in (NAN, INF, -INF):
+            yield pytest.param(i, value, True, id=f"{name}[{i}]={value}")
+        for end, is_open, outward in ((lo, open_lo, -INF), (hi, open_hi, INF)):
+            if math.isfinite(end):
+                beyond, within = end, math.nextafter(end, -outward)
+                if not is_open:
+                    beyond, within = math.nextafter(end, outward), end
+                yield pytest.param(i, beyond, True, id=f"{name}[{i}]={beyond!r}")
+                yield pytest.param(i, within, False, id=f"{name}[{i}]={within!r}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry, value, rejected", _declared_cases())
+def test_declared_scalar_domain(entry, value, rejected):
+    call, name = DECLARED[entry][:2]
+    if rejected:
+        with pytest.raises(DomainError, match=f"^{re.escape(name)} (variance )?must be"):
+            call(value)
+    else:
+        try:
+            call(value)
+        except DomainError as exc:
+            pytest.fail(f"{name} = {value!r} lies in its domain, but: {exc}")
+        except ToolError:  # a value in its domain may still have no optimum or no feasible answer
+            pass

@@ -34,6 +34,17 @@ class TestAnalyzerSettings:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             dataclasses.replace(locked_bundle.scenario.analyzer, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_non_integer_seed_rejected(self, locked_bundle, seed):
+        # numpy's SeedSequence takes integers only
+        with pytest.raises(DomainError, match=f"seed must be >= 0 and an integer, got {seed}"):
+            dataclasses.replace(locked_bundle.scenario.analyzer, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self, locked_bundle):
+        analyzer = dataclasses.replace(locked_bundle.scenario.analyzer, seed=np.int64(7))
+        trace = det.simulate_zero_span(dataclasses.replace(locked_bundle.scenario, analyzer=analyzer))
+        assert trace.seed == 7
+
     def test_points_capped(self, locked_bundle):
         at_cap = dataclasses.replace(locked_bundle.scenario.analyzer, points=det.MAX_POINTS)
         assert at_cap.points == 1_000_000
@@ -185,6 +196,10 @@ class TestZeroSpan:
         mx, mn = det.trace_extrema(trace)
         assert mx - s.detector.shot_noise_dbm == pytest.approx(19.66, abs=0.2)
         assert mn - s.detector.shot_noise_dbm == pytest.approx(-8.35, abs=0.2)
+
+    def test_empty_trace_has_no_envelope(self):
+        with pytest.raises(DomainError, match="empty trace"):
+            det.trace_extrema(det.Trace(axis=[], values_dbm=[]))
 
     @pytest.mark.parametrize("points", range(1, 12))
     def test_short_trace_envelope_is_ordered(self, points):

@@ -54,13 +54,13 @@ class TestPumpSweepPoint:
             ft.PumpSweepPoint(*row)
 
     def test_negative_pump_power_rejected(self):
-        with pytest.raises(DomainError, match="pump power must be >= 0, got -0.1"):
+        with pytest.raises(DomainError, match="pump_power_w must be >= 0, got -0.1"):
             ft.PumpSweepPoint(-0.1, -5.0, 12.0)
 
 
 class TestFitBounds:
     def test_infinite_alpha_max_rejected(self):
-        with pytest.raises(DomainError, match="alpha_max < inf"):
+        with pytest.raises(DomainError, match="alpha_max must be finite, got inf"):
             ft.FitBounds(alpha_max=math.inf)
 
 
@@ -80,6 +80,26 @@ class TestFitPumpSweep:
             TRUE_THETA * scale,
         ])
         r = ft.fit_pump_sweep(synthetic_data(), initial=start)
+        assert r.transmittance == pytest.approx(TRUE_ETA, rel=1e-6)
+        assert r.shg_efficiency == pytest.approx(TRUE_ALPHA, rel=1e-6)
+        assert r.jitter_rad == pytest.approx(TRUE_THETA, rel=1e-6)
+
+    @pytest.mark.parametrize("entry", range(3))
+    def test_nan_start_rejected(self, entry):
+        # min(max(nan, lo), hi) is nan, so clipping does not move a NaN start into the box
+        start = [0.9, 8.0, 0.01]
+        start[entry] = math.nan
+        with pytest.raises(DomainError, match=f"initial {['eta', 'alpha', 'theta'][entry]} must be finite, got nan"):
+            ft.fit_pump_sweep(synthetic_data(), initial=start)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    def test_infinite_theta_start_rejected(self, theta):
+        with pytest.raises(DomainError, match=f"initial theta must be finite, got {theta}"):
+            ft.fit_pump_sweep(synthetic_data(), initial=[0.9, 8.0, theta])
+
+    @pytest.mark.parametrize("eta, alpha", [(0.9, math.inf), (-math.inf, math.inf), (math.inf, -math.inf)])
+    def test_infinite_start_is_clipped_into_the_bounds(self, eta, alpha):
+        r = ft.fit_pump_sweep(synthetic_data(), initial=[eta, alpha, 0.01])
         assert r.transmittance == pytest.approx(TRUE_ETA, rel=1e-6)
         assert r.shg_efficiency == pytest.approx(TRUE_ALPHA, rel=1e-6)
         assert r.jitter_rad == pytest.approx(TRUE_THETA, rel=1e-6)

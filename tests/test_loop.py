@@ -198,6 +198,13 @@ class TestNonFiniteLoopInputs:
         with pytest.raises(DomainError):
             pure_delay_loop(delay)
 
+    @pytest.mark.filterwarnings("error")
+    def test_loop_delay_that_overflows_the_delay_factor(self):
+        # exp(-s delay) at 1e15 Hz overflowed for this delay; it lies outside [0, 1] s
+        loop = lp.default_lock_loops()[0]
+        with pytest.raises(DomainError, match=r"loop_delay must be in \[0, 1\] s, got 1e\+300"):
+            lp.LoopModel(loop.controller, loop.fast_plant, loop.slow_plant, loop_delay=1e300).response(1e15)
+
 
 class TestLoopLayerFloats:
     def test_margins_are_floats(self):

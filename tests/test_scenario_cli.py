@@ -862,7 +862,7 @@ class TestCli:
         assert run_cli("simulate", str(bad), "--out-dir", str(tmp_path), "--quiet") == 2
         assert "analyzer: seed must be >= 0" in capsys.readouterr().err
         assert run_cli("simulate", self.SCN, "--seed", "-1", "--out-dir", str(tmp_path), "--quiet") == 2
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "seed must be >= 0 and an integer, got -1" in capsys.readouterr().err
 
     def test_csv_report_format(self, tmp_path, capsys):
         assert run_cli(
